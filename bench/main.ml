@@ -81,6 +81,22 @@ let measure_ns ?(quota = 0.2) ~name f =
   end
   else est
 
+(* [alloc_words f] is the minor-heap words one call of [f] allocates:
+   a [Gc.minor_words] delta, averaged over a few calls after a warm-up
+   call. The counter is per domain, so pool workers measure only their
+   own calls. *)
+let alloc_words f =
+  ignore (Sys.opaque_identity (f ()));
+  let calls = 16 in
+  let before = Gc.minor_words () in
+  for _ = 1 to calls do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int calls
+
+(* Time and allocation of one call of [f]. *)
+let measure_cost ?quota ~name f = (measure_ns ?quota ~name f, alloc_words f)
+
 (* ------------------------------------------------------------------ *)
 (* Machine-readable side-outputs: sections append typed rows here and
    the driver writes BENCH_QUACK.json (microbenchmarks of the quACK
@@ -148,27 +164,29 @@ let spread_missing n m = List.init m (fun i -> i * (n / (m + 1)))
 (* ------------------------------------------------------------------ *)
 (* Table 2: strawmen vs power sums (n = 1000, t = 20, b = 32, c = 16) *)
 
-let table2 pool =
+let table2 _pool =
   section "Table 2: strawman comparison (n=1000, t=20, b=32, c=16)";
   let n = 1000 and t = 20 and m = 20 in
   let all = ids n in
   let bogus = String.make 32 '\000' in
   let attempts = 20 in
-  (* The six measurements are independent, so they fan out over the
-     pool; each task builds its own inputs and returns one estimate. *)
-  let measure _ctx = function
+  (* The six measurements run one after another: Bechamel stabilises
+     the major heap before each, which fails while another domain
+     allocates (Strawman 2's digests churn it), so they do not fan out
+     over the pool. *)
+  let measure = function
     | `Ps_construct ->
-        measure_ns ~name:"psum-construct" (fun () ->
+        measure_cost ~name:"psum-construct" (fun () ->
             build_psum ~bits:32 ~threshold:t all)
     | `Ps_decode ->
         let diff, nm, cands, field =
           decode_problem ~bits:32 ~threshold:t ~n ~missing_idx:(spread_missing n m)
         in
-        measure_ns ~name:"psum-decode" (fun () ->
+        measure_cost ~name:"psum-decode" (fun () ->
             Decoder.decode ~field ~diff_sums:diff ~num_missing:nm
               ~candidates:cands ())
     | `S1_construct ->
-        measure_ns ~name:"s1-construct" (fun () ->
+        measure_cost ~name:"s1-construct" (fun () ->
             let s = Strawman1.create ~bits:32 in
             List.iter (Strawman1.insert s) all;
             Strawman1.encode s)
@@ -176,24 +194,30 @@ let table2 pool =
         let s1 = Strawman1.create ~bits:32 in
         List.iteri (fun i id -> if i mod 50 <> 7 then Strawman1.insert s1 id) all;
         let s1_payload = Strawman1.encode s1 in
-        measure_ns ~name:"s1-decode" (fun () ->
+        measure_cost ~name:"s1-decode" (fun () ->
             Strawman1.decode ~bits:32 s1_payload ~log:all)
     | `S2_construct ->
-        measure_ns ~name:"s2-construct" (fun () ->
+        measure_cost ~name:"s2-construct" (fun () ->
             let s = Strawman2.create ~bits:32 in
             List.iter (Strawman2.insert s) all;
             Strawman2.digest s)
     | `S2_attempt ->
         (* measured cost of one subset attempt; extrapolated below *)
-        measure_ns ~name:"s2-attempt" (fun () ->
-            Strawman2.decode ~max_attempts:attempts ~digest:bogus ~log:all
-              ~num_missing:m ())
-        /. float_of_int attempts
+        let ns, words =
+          measure_cost ~name:"s2-attempt" (fun () ->
+              Strawman2.decode ~max_attempts:attempts ~digest:bogus ~log:all
+                ~num_missing:m ())
+        in
+        (ns /. float_of_int attempts, words /. float_of_int attempts)
   in
-  let ps_construct, ps_decode, s1_construct, s1_decode, s2_construct, s2_attempt
-      =
+  let ( (ps_construct, ps_construct_words),
+        (ps_decode, ps_decode_words),
+        (s1_construct, s1_construct_words),
+        (s1_decode, s1_decode_words),
+        (s2_construct, s2_construct_words),
+        (s2_attempt, s2_attempt_words) ) =
     match
-      Exec.Pool.map pool ~f:measure
+      List.map measure
         [ `Ps_construct; `Ps_decode; `S1_construct; `S1_decode; `S2_construct;
           `S2_attempt ]
     with
@@ -219,23 +243,30 @@ let table2 pool =
     (Wire.packed_size ~bits:32 ~threshold:t ~count_bits:16);
   Printf.printf "amortized construction: %.0f ns/packet (paper: ~100 ns)\n"
     (ps_construct /. float_of_int n);
+  Printf.printf "power-sum minor words per call: construct %.0f, decode %.0f\n"
+    ps_construct_words ps_decode_words;
   let open Obs.Json in
-  let scheme name construct_us decode size_bits =
+  (* alloc_words: per construction; decode_alloc_words: per decode (per
+     subset attempt for Strawman 2) *)
+  let scheme name construct_us construct_words decode decode_words size_bits =
     add_row quack_rows ~section:"table2"
       [
         ("scheme", String name);
         ("construct_us", Float construct_us);
         decode;
         ("size_bits", Int size_bits);
+        ("alloc_words", Float construct_words);
+        ("decode_alloc_words", Float decode_words);
       ]
   in
-  scheme "strawman1" (s1_construct /. 1e3)
+  scheme "strawman1" (s1_construct /. 1e3) s1_construct_words
     ("decode_us", Float (s1_decode /. 1e3))
-    s1_bits;
-  scheme "strawman2" (s2_construct /. 1e3) ("decode_days", Float s2_days) s2_bits;
-  scheme "power_sums" (ps_construct /. 1e3)
+    s1_decode_words s1_bits;
+  scheme "strawman2" (s2_construct /. 1e3) s2_construct_words
+    ("decode_days", Float s2_days) s2_attempt_words s2_bits;
+  scheme "power_sums" (ps_construct /. 1e3) ps_construct_words
     ("decode_us", Float (ps_decode /. 1e3))
-    ps_bits
+    ps_decode_words ps_bits
 
 (* ------------------------------------------------------------------ *)
 (* Table 3: collision probability vs identifier bits (n = 1000)       *)
@@ -274,7 +305,7 @@ let fig5 pool =
     Exec.Pool.map pool
       ~f:(fun _ctx (t, bits) ->
         let all = ids_b ~bits 1000 in
-        measure_ns ~quota:0.1
+        measure_cost ~quota:0.1
           ~name:(Printf.sprintf "construct-b%d-t%d" bits t)
           (fun () -> build_psum ~bits ~threshold:t all))
       points
@@ -290,13 +321,14 @@ let fig5 pool =
       let row = ref [ string_of_int t ] in
       List.iter
         (fun bits ->
-          let ns = List.assoc (t, bits) grid in
+          let ns, words = List.assoc (t, bits) grid in
           row := Printf.sprintf "%.2f" (ns /. 1e3) :: !row;
           add_row quack_rows ~section:"fig5"
             [
               ("t", Obs.Json.Int t);
               ("bits", Obs.Json.Int bits);
               ("construct_us", Obs.Json.Float (ns /. 1e3));
+              ("alloc_words", Obs.Json.Float words);
             ];
           Printf.printf "%14.1f" (ns /. 1e3))
         widths;
@@ -324,7 +356,7 @@ let fig6 pool =
           decode_problem ~bits ~threshold:20 ~n:1000
             ~missing_idx:(spread_missing 1000 m)
         in
-        measure_ns ~quota:0.1
+        measure_cost ~quota:0.1
           ~name:(Printf.sprintf "decode-b%d-m%d" bits m)
           (fun () ->
             Decoder.decode ~field ~diff_sums:diff ~num_missing:nm
@@ -342,13 +374,14 @@ let fig6 pool =
       let row = ref [ string_of_int m ] in
       List.iter
         (fun bits ->
-          let ns = List.assoc (m, bits) grid in
+          let ns, words = List.assoc (m, bits) grid in
           row := Printf.sprintf "%.2f" (ns /. 1e3) :: !row;
           add_row quack_rows ~section:"fig6"
             [
               ("m", Obs.Json.Int m);
               ("bits", Obs.Json.Int bits);
               ("decode_us", Obs.Json.Float (ns /. 1e3));
+              ("alloc_words", Obs.Json.Float words);
             ];
           Printf.printf "%14.1f" (ns /. 1e3))
         widths;

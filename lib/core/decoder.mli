@@ -44,7 +44,31 @@ val decode :
     power-sum system. [diff_sums] is sender-minus-receiver (length
     [>= num_missing] or the call fails with [`Threshold_exceeded]);
     [candidates] are raw identifiers from the sender log (reduced into
-    the field internally, returned unreduced). *)
+    the field internally, returned unreduced). A wrapper over
+    {!decode_ids} with a fresh workspace. *)
+
+type workspace
+(** Decode scratch for one field, sized for a threshold: the inverses
+    of [1..t] Newton's identities divide by, precomputed once (§4.2),
+    and the buffers the plug-in strategy works in. Reusing one across
+    decodes keeps the plug-in strategy free of per-candidate
+    allocation. Not safe to share between concurrent decodes. *)
+
+val workspace :
+  field:(module Sidecar_field.Modular.S) -> threshold:int -> workspace
+
+val decode_ids :
+  ?strategy:strategy ->
+  workspace ->
+  diff_sums:int array ->
+  num_missing:int ->
+  ids:int array ->
+  len:int ->
+  (outcome, error) result
+(** {!decode} over the candidates [ids.(0 .. len-1)], in the
+    workspace's field. A [num_missing] above the workspace's threshold
+    decodes in a fresh workspace. @raise Invalid_argument when [len]
+    is outside [ids]. *)
 
 val decode_between :
   ?strategy:strategy ->

@@ -10,16 +10,12 @@ module Primes = Sidecar_field.Primes
 
 type t = {
   field : (module Modular.S);
+  kernel : Kernel.t;
   bits : int;
   modulus : int;
   threshold : int;
   sums : int array;
   mutable count : int;
-  (* The field operations are fetched once at creation so the per-packet
-     hot path does not re-project from the first-class module. *)
-  add : int -> int -> int;
-  sub : int -> int -> int;
-  mul : int -> int -> int;
 }
 
 let create ?(bits = 32) ?field ~threshold () =
@@ -31,14 +27,12 @@ let create ?(bits = 32) ?field ~threshold () =
   if F.bits <> bits then invalid_arg "Psum.create: field width mismatch";
   {
     field;
+    kernel = Kernel.of_field field;
     bits;
     modulus = F.modulus;
     threshold;
     sums = Array.make threshold 0;
     count = 0;
-    add = F.add;
-    sub = F.sub;
-    mul = F.mul;
   }
 
 let bits t = t.bits
@@ -46,43 +40,7 @@ let threshold t = t.threshold
 let modulus t = t.modulus
 let count t = t.count
 let field t = t.field
-
-(* Specialised hot loop for the default 32-bit field (p = 2^32 - 5):
-   the per-packet construction cost is the headline number of §4, so
-   the fold-reduction arithmetic is inlined here rather than reached
-   through the field's closures. *)
-let p32 = 4294967291
-let mask32 = 0xFFFFFFFF
-
-let[@inline] reduce32 x =
-  (* x < 2^50; two folds of x = hi*2^32 + lo ≡ 5*hi + lo (mod p) *)
-  (* sidelint: allow — audited fast path: hi < 2^18 so 5*hi < 2^21 *)
-  let x = ((x lsr 32) * 5) + (x land mask32) in
-  (* sidelint: allow — second fold, same bound *)
-  let x = ((x lsr 32) * 5) + (x land mask32) in
-  if x >= p32 then x - p32 else x
-
-let[@inline] mul32 a b =
-  (* sidelint: allow — (a lsr 16) < 2^16 and b < 2^32 keep the product < 2^48 *)
-  let upper = reduce32 ((a lsr 16) * b) in
-  (* sidelint: allow — low half: (a land 0xffff) * b < 2^48, sum < 2^49 *)
-  reduce32 ((upper lsl 16) + ((a land 0xffff) * b))
-
-let insert_fast32 sums threshold x =
-  let pw = ref 1 in
-  for i = 0 to threshold - 1 do
-    pw := mul32 !pw x;
-    let s = Array.unsafe_get sums i + !pw in
-    Array.unsafe_set sums i (if s >= p32 then s - p32 else s)
-  done
-
-let remove_fast32 sums threshold x =
-  let pw = ref 1 in
-  for i = 0 to threshold - 1 do
-    pw := mul32 !pw x;
-    let s = Array.unsafe_get sums i - !pw in
-    Array.unsafe_set sums i (if s < 0 then s + p32 else s)
-  done
+let kernel t = t.kernel
 
 (* Debug-gated: every mutation must leave the sketch inside the field. *)
 let check_in_field t what =
@@ -90,37 +48,15 @@ let check_in_field t what =
     Invariant.check ~name:("psum-in-field: Psum." ^ what) (fun () ->
         Array.for_all (fun s -> s >= 0 && s < t.modulus) t.sums)
 
-let[@inline] residue t id =
-  if id >= 0 && id < t.modulus then id
-  else begin
-    (* sidelint: allow — reducing an untrusted caller int INTO the field *)
-    let r = id mod t.modulus in
-    if r < 0 then r + t.modulus else r
-  end
-
+(* The per-packet construction cost is the headline number of §4; the
+   power-row loop lives in [Kernel], with the 2^32 - 5 fold inlined. *)
 let insert t id =
-  let x = residue t id in
-  if t.modulus = p32 then insert_fast32 t.sums t.threshold x
-  else begin
-    let pw = ref 1 in
-    for i = 0 to t.threshold - 1 do
-      pw := t.mul !pw x;
-      t.sums.(i) <- t.add t.sums.(i) !pw
-    done
-  end;
+  Kernel.add_powers t.kernel t.sums t.threshold id;
   t.count <- t.count + 1;
   check_in_field t "insert"
 
 let remove t id =
-  let x = residue t id in
-  if t.modulus = p32 then remove_fast32 t.sums t.threshold x
-  else begin
-    let pw = ref 1 in
-    for i = 0 to t.threshold - 1 do
-      pw := t.mul !pw x;
-      t.sums.(i) <- t.sub t.sums.(i) !pw
-    done
-  end;
+  Kernel.sub_powers t.kernel t.sums t.threshold id;
   t.count <- t.count - 1;
   check_in_field t "remove"
 
@@ -154,9 +90,10 @@ let merge a b =
      and one over 65519 have identical [bits] yet incompatible
      arithmetic, and adding their sums would silently corrupt both. *)
   if a.modulus <> b.modulus then invalid_arg "Psum.merge: mismatched moduli";
+  let module F = (val a.field) in
   let merged = copy a in
   for i = 0 to a.threshold - 1 do
-    merged.sums.(i) <- a.add a.sums.(i) b.sums.(i)
+    merged.sums.(i) <- F.add a.sums.(i) b.sums.(i)
   done;
   merged.count <- a.count + b.count;
   check_in_field merged "merge";
@@ -173,12 +110,13 @@ let difference ?received_modulus ~sent ~received_sums () =
   | Some _ | None -> ());
   if Array.length received_sums > sent.threshold then
     invalid_arg "Psum.difference: receiver advertises a larger threshold";
+  let module F = (val sent.field) in
   let diff =
     Array.mapi
       (fun i r ->
         if r < 0 || r >= sent.modulus then
           invalid_arg "Psum.difference: received sum out of field range"
-        else sent.sub sent.sums.(i) r)
+        else F.sub sent.sums.(i) r)
       received_sums
   in
   if Invariant.active () then

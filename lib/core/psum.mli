@@ -76,4 +76,7 @@ val difference :
 val field : t -> (module Sidecar_field.Modular.S)
 (** The underlying prime field (for decoders). *)
 
+val kernel : t -> Kernel.t
+(** The field's loop kernels, shared with the sender's decode path. *)
+
 val pp : Format.formatter -> t -> unit

@@ -47,18 +47,20 @@ let pp_error ppf = function
       Format.fprintf ppf "threshold exceeded: %d missing > t = %d (reset required)" m t
   | `Config_mismatch s -> Format.fprintf ppf "config mismatch: %s" s
 
-type 'meta entry = {
-  id : int;
-  meta : 'meta;
-  pos : int;  (* monotone send position, for in-flight reasoning *)
-  mutable strikes : int;
-}
-
+(* The log, oldest first, as parallel arrays: entry [i < len] is
+   (ids.(i), metas.(i), pos.(i), strikes.(i)), where [pos] is the
+   entry's monotone send position, for in-flight reasoning. The id
+   column is the decoder's candidate array as it stands, so a quACK
+   rebuilds nothing. The four arrays share one capacity. *)
 type 'meta t = {
   cfg : config;
   psum : Psum.t;
-  mutable log : 'meta entry list;  (* newest-first; reversed on decode *)
-  mutable log_len : int;
+  decoder : Decoder.workspace;
+  mutable ids : int array;
+  mutable metas : 'meta array;
+  mutable pos : int array;
+  mutable strikes : int array;
+  mutable len : int;
   mutable last_receiver_count : int;
   mutable next_pos : int;
   mutable max_acked_pos : int;
@@ -70,11 +72,18 @@ type 'meta t = {
 let create cfg =
   if cfg.strikes_to_lose < 1 then
     invalid_arg "Sender_state.create: strikes_to_lose must be >= 1";
+  let psum =
+    Psum.create ~bits:cfg.bits ?field:cfg.field ~threshold:cfg.threshold ()
+  in
   {
     cfg;
-    psum = Psum.create ~bits:cfg.bits ?field:cfg.field ~threshold:cfg.threshold ();
-    log = [];
-    log_len = 0;
+    psum;
+    decoder = Decoder.workspace ~field:(Psum.field psum) ~threshold:cfg.threshold;
+    ids = [||];
+    metas = [||];
+    pos = [||];
+    strikes = [||];
+    len = 0;
     last_receiver_count = 0;
     next_pos = 0;
     max_acked_pos = -1;
@@ -82,20 +91,60 @@ let create cfg =
 
 let config t = t.cfg
 
+(* Doubles the log's capacity; [meta], the entry about to be appended,
+   fills the fresh metas array, which needs some value of its type. *)
+let grow t meta =
+  let cap = max 16 (t.len lsl 1) in
+  let extend a fill =
+    let b = Array.make cap fill in
+    Array.blit a 0 b 0 t.len;
+    b
+  in
+  t.ids <- extend t.ids 0;
+  t.metas <- extend t.metas meta;
+  t.pos <- extend t.pos 0;
+  t.strikes <- extend t.strikes 0
+
+let clear_log t =
+  t.ids <- [||];
+  t.metas <- [||];
+  t.pos <- [||];
+  t.strikes <- [||];
+  t.len <- 0
+
+(* Shortens the log to [len] entries. Slots past the end would keep
+   released metas (packets) alive until overwritten, so they are all
+   pointed at the last slot's meta: at most one stale meta stays
+   referenced. *)
+let truncate t len =
+  let n = t.len in
+  if len < n - 1 then Array.fill t.metas len (n - 1 - len) t.metas.(n - 1);
+  t.len <- len
+
 let on_send t ~id meta =
   Psum.insert t.psum id;
-  t.log <- { id; meta; pos = t.next_pos; strikes = 0 } :: t.log;
-  t.next_pos <- t.next_pos + 1;
-  t.log_len <- t.log_len + 1
+  if t.len = Array.length t.ids then grow t meta;
+  let i = t.len in
+  t.ids.(i) <- id;
+  t.metas.(i) <- meta;
+  t.pos.(i) <- t.next_pos;
+  t.strikes.(i) <- 0;
+  t.len <- i + 1;
+  t.next_pos <- t.next_pos + 1
 
 let sent t = Psum.count t.psum
-let outstanding t = t.log_len
-let outstanding_ids t = List.rev_map (fun e -> e.id) t.log
+let outstanding t = t.len
+
+let outstanding_ids t =
+  let l = ref [] in
+  for i = t.len - 1 downto 0 do
+    l := t.ids.(i) :: !l
+  done;
+  !l
 
 let reset t =
   Psum.reset t.psum;
-  t.log <- [];
-  t.log_len <- 0;
+  clear_log t;
   t.last_receiver_count <- 0;
   t.next_pos <- 0;
   t.max_acked_pos <- -1
@@ -110,7 +159,10 @@ let resync_to t (q : Quack.t) =
      already reject). *)
   if q.Quack.modulus <> Psum.modulus t.psum then
     invalid_arg "Sender_state.resync_to: mismatched moduli";
-  let abandoned = List.rev_map (fun e -> e.meta) t.log in
+  let abandoned = ref [] in
+  for i = t.len - 1 downto 0 do
+    abandoned := t.metas.(i) :: !abandoned
+  done;
   let q = { q with Quack.count_bits = t.cfg.count_bits } in
   let receiver_count =
     let sc = Psum.count t.psum in
@@ -122,8 +174,7 @@ let resync_to t (q : Quack.t) =
     if rc >= 0 then rc else Quack.wrap_count q q.Quack.count
   in
   Psum.set_state t.psum ~sums:q.Quack.sums ~count:receiver_count;
-  t.log <- [];
-  t.log_len <- 0;
+  clear_log t;
   t.last_receiver_count <- receiver_count;
   (* Positions are log-relative; the log was just abandoned, so the
      position space restarts too (as in [reset]). Leaving
@@ -132,42 +183,74 @@ let resync_to t (q : Quack.t) =
      tail-in-flight grace of §3.3. *)
   t.next_pos <- 0;
   t.max_acked_pos <- -1;
-  abandoned
+  !abandoned
 
-let remove_entry t entry =
-  Psum.remove t.psum entry.id;
-  (* sidelint: allow — physical identity is the point: drop exactly this
-     entry, not every entry with an equal id/meta *)
-  t.log <- List.filter (fun e -> e != entry) t.log;
-  t.log_len <- t.log_len - 1
+let rec index_of ids len id i =
+  if i >= len then -1 else if ids.(i) = id then i else index_of ids len id (i + 1)
 
 let declare_lost t ~id =
-  (* oldest occurrence = last in the newest-first list *)
-  let rec find_last best = function
-    | [] -> best
-    | e :: rest -> find_last (if e.id = id then Some e else best) rest
-  in
-  match find_last None t.log with
-  | None -> None
-  | Some e ->
-      remove_entry t e;
-      Some e.meta
+  (* the oldest occurrence *)
+  let i = index_of t.ids t.len id 0 in
+  if i < 0 then None
+  else begin
+    let meta = t.metas.(i) in
+    Psum.remove t.psum id;
+    let after = t.len - i - 1 in
+    Array.blit t.ids (i + 1) t.ids i after;
+    Array.blit t.metas (i + 1) t.metas i after;
+    Array.blit t.pos (i + 1) t.pos i after;
+    Array.blit t.strikes (i + 1) t.strikes i after;
+    truncate t (t.len - 1);
+    Some meta
+  end
 
-(* Subtract the power sums of [ids] from [diff] in place semantics
-   (returns a fresh array): used for in-flight suffix truncation. *)
-let subtract_ids ~field diff ids =
-  let module F = (val field : Modular.S) in
-  let diff = Array.map F.of_int diff in
-  let sub_one id =
-    let x = F.of_int id in
-    let pw = ref F.one in
-    for i = 0 to Array.length diff - 1 do
-      pw := F.mul !pw x;
-      diff.(i) <- F.sub diff.(i) !pw
-    done
+(* The decoded-missing multiset over its distinct identifiers: [k.(j)]
+   copies of [mids.(j)] are missing, and [occ.(j)] count its entries in
+   the covered log prefix. A quACK decodes at most t, so scanning these
+   few is cheaper than hashing every log entry. *)
+type missing = {
+  mids : int array;
+  k : int array;
+  occ : int array;
+  mutable nd : int;
+}
+
+let rec find_missing ms id j =
+  if j >= ms.nd then -1
+  else if ms.mids.(j) = id then j
+  else find_missing ms id (j + 1)
+
+let missing_of_list ids =
+  let cap = List.length ids in
+  let ms =
+    { mids = Array.make cap 0; k = Array.make cap 0; occ = Array.make cap 0;
+      nd = 0 }
   in
-  List.iter sub_one ids;
-  diff
+  List.iter
+    (fun id ->
+      let j = find_missing ms id 0 in
+      if j >= 0 then ms.k.(j) <- ms.k.(j) + 1
+      else begin
+        ms.mids.(ms.nd) <- id;
+        ms.k.(ms.nd) <- 1;
+        ms.nd <- ms.nd + 1
+      end)
+    ids;
+  ms
+
+let drop_missing ms j =
+  let last = ms.nd - 1 in
+  ms.mids.(j) <- ms.mids.(last);
+  ms.k.(j) <- ms.k.(last);
+  ms.occ.(j) <- ms.occ.(last);
+  ms.nd <- last
+
+(* In-flight suffix truncation: subtract the power sums of the log
+   entries [from, until) from [diff], in place. *)
+let subtract_ids kernel diff ids ~from ~until =
+  for i = from to until - 1 do
+    Kernel.sub_powers kernel diff (Array.length diff) ids.(i)
+  done
 
 let on_quack t (q : Quack.t) =
   if q.Quack.bits <> t.cfg.bits then
@@ -195,9 +278,7 @@ let on_quack t (q : Quack.t) =
       Ok { empty_report with stale = true }
     else begin
       let t_eff = Quack.threshold q in
-      (* Oldest-first view of the log. *)
-      let entries = Array.of_list (List.rev t.log) in
-      let n = Array.length entries in
+      let n = t.len in
       if m > n then
         (* The receiver claims fewer receptions than is consistent with
            our log: wrapped count or a foreign quACK. *)
@@ -209,24 +290,11 @@ let on_quack t (q : Quack.t) =
           Psum.difference ~received_modulus:q.Quack.modulus ~sent:t.psum
             ~received_sums:q.Quack.sums ()
         in
-        let diff =
-          if in_flight = 0 then diff
-          else begin
-            let suffix = ref [] in
-            for i = n - 1 downto prefix_len do
-              suffix := entries.(i).id :: !suffix
-            done;
-            subtract_ids ~field:(Psum.field t.psum) diff !suffix
-          end
-        in
+        subtract_ids (Psum.kernel t.psum) diff t.ids ~from:prefix_len ~until:n;
         let m_prefix = m - in_flight in
-        let candidates = ref [] in
-        for i = prefix_len - 1 downto 0 do
-          candidates := entries.(i).id :: !candidates
-        done;
         match
-          Decoder.decode ~strategy:t.cfg.strategy ~field:(Psum.field t.psum)
-            ~diff_sums:diff ~num_missing:m_prefix ~candidates:!candidates ()
+          Decoder.decode_ids ~strategy:t.cfg.strategy t.decoder
+            ~diff_sums:diff ~num_missing:m_prefix ~ids:t.ids ~len:prefix_len
         with
         | Error (`Threshold_exceeded (m, tt)) -> Error (`Threshold_exceeded (m, tt))
         | Ok { missing; unresolved } when unresolved > 0 ->
@@ -244,15 +312,9 @@ let on_quack t (q : Quack.t) =
               Invariant.check
                 ~name:"sender-log-sound: decoded multiset ⊆ sent log"
                 (fun () ->
-                  Invariant.int_multiset_subset ~sub:missing ~super:!candidates);
-            (* Multiset of missing identifiers. *)
-            let miss_count : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
-            List.iter
-              (fun id ->
-                match Hashtbl.find_opt miss_count id with
-                | Some r -> incr r
-                | None -> Hashtbl.add miss_count id (ref 1))
-              missing;
+                  Invariant.int_multiset_subset ~sub:missing
+                    ~super:(List.init prefix_len (fun i -> t.ids.(i))));
+            let ms = missing_of_list missing in
             (* §3.3: a continuous suffix of missing packets is treated
                as in transit, not missing — the newest transmissions
                simply have not reached the receiver yet. Walk back from
@@ -262,76 +324,84 @@ let on_quack t (q : Quack.t) =
             let boundary = ref prefix_len in
             let continue_tail = ref t.cfg.tail_in_flight in
             while !continue_tail && !boundary > 0 do
-              let e = entries.(!boundary - 1) in
-              if e.pos <= t.max_acked_pos then continue_tail := false
-              else
-              match Hashtbl.find_opt miss_count e.id with
-              | Some r when !r > 0 ->
-                  decr r;
-                  if !r = 0 then Hashtbl.remove miss_count e.id;
-                  incr tail_in_flight;
-                  decr boundary
-              | Some _ | None -> continue_tail := false
+              let i = !boundary - 1 in
+              let j =
+                if t.pos.(i) <= t.max_acked_pos then -1
+                else find_missing ms t.ids.(i) 0
+              in
+              if j >= 0 && ms.k.(j) > 0 then begin
+                ms.k.(j) <- ms.k.(j) - 1;
+                if ms.k.(j) = 0 then drop_missing ms j;
+                incr tail_in_flight;
+                decr boundary
+              end
+              else continue_tail := false
             done;
             let prefix_len = !boundary in
             (* Occurrences of each missing id within the prefix. *)
-            let occ : (int, int ref) Hashtbl.t = Hashtbl.create 64 in
             for i = 0 to prefix_len - 1 do
-              let id = entries.(i).id in
-              if Hashtbl.mem miss_count id then
-                match Hashtbl.find_opt occ id with
-                | Some r -> incr r
-                | None -> Hashtbl.add occ id (ref 1)
+              let j = find_missing ms t.ids.(i) 0 in
+              if j >= 0 then ms.occ.(j) <- ms.occ.(j) + 1
             done;
             let acked = ref [] and lost = ref [] and suspect = ref [] in
             let indeterminate = ref [] in
-            let keep = ref [] (* newest-first rebuild *) in
-            let keep_entry e = keep := e :: !keep in
-            (* Walk oldest-first; prepend to keep gives newest-first at
-               the end by reversing. *)
-            let classify i e =
-              if i >= prefix_len then keep_entry e (* in flight *)
-              else begin
-                match Hashtbl.find_opt miss_count e.id with
-                | None ->
-                    if e.pos > t.max_acked_pos then t.max_acked_pos <- e.pos;
-                    acked := e.meta :: !acked (* drop from log *)
-                | Some k ->
-                    let total = !(Hashtbl.find occ e.id) in
-                    if total = !k then begin
-                      (* definite missing *)
-                      e.strikes <- e.strikes + 1;
-                      if e.strikes >= t.cfg.strikes_to_lose then begin
-                        Psum.remove t.psum e.id;
-                        lost := e.meta :: !lost
-                      end
-                      else begin
-                        suspect := e.meta :: !suspect;
-                        keep_entry e
-                      end
+            (* Walk oldest-first, compacting the entries that stay
+               logged to the front. *)
+            let kept = ref 0 in
+            for i = 0 to n - 1 do
+              let meta = t.metas.(i) in
+              let keep =
+                i >= prefix_len (* in flight *)
+                ||
+                let j = find_missing ms t.ids.(i) 0 in
+                if j < 0 then begin
+                  if t.pos.(i) > t.max_acked_pos then t.max_acked_pos <- t.pos.(i);
+                  acked := meta :: !acked (* drop from log *);
+                  false
+                end
+                else begin
+                  let strikes = t.strikes.(i) + 1 in
+                  t.strikes.(i) <- strikes;
+                  if ms.occ.(j) = ms.k.(j) then begin
+                    (* definite missing *)
+                    if strikes >= t.cfg.strikes_to_lose then begin
+                      Psum.remove t.psum t.ids.(i);
+                      lost := meta :: !lost;
+                      false
                     end
                     else begin
-                      (* collision: k of total entries with this id are
-                         missing; fate of each is indeterminate. After
-                         the grace expires remove k oldest occurrences
-                         so the threshold resets (§3.3). *)
-                      e.strikes <- e.strikes + 1;
-                      if e.strikes >= t.cfg.strikes_to_lose && !k > 0 then begin
-                        decr k;
-                        Psum.remove t.psum e.id;
-                        lost := e.meta :: !lost;
-                        indeterminate := e.meta :: !indeterminate
-                      end
-                      else begin
-                        indeterminate := e.meta :: !indeterminate;
-                        keep_entry e
-                      end
+                      suspect := meta :: !suspect;
+                      true
                     end
+                  end
+                  else begin
+                    (* collision: k of occ entries with this id are
+                       missing; fate of each is indeterminate. After
+                       the grace expires remove k oldest occurrences
+                       so the threshold resets (§3.3). *)
+                    indeterminate := meta :: !indeterminate;
+                    if strikes >= t.cfg.strikes_to_lose && ms.k.(j) > 0 then begin
+                      ms.k.(j) <- ms.k.(j) - 1;
+                      Psum.remove t.psum t.ids.(i);
+                      lost := meta :: !lost;
+                      false
+                    end
+                    else true
+                  end
+                end
+              in
+              if keep then begin
+                let w = !kept in
+                if w < i then begin
+                  t.ids.(w) <- t.ids.(i);
+                  t.metas.(w) <- meta;
+                  t.pos.(w) <- t.pos.(i);
+                  t.strikes.(w) <- t.strikes.(i)
+                end;
+                kept := w + 1
               end
-            in
-            Array.iteri classify entries;
-            t.log <- !keep;
-            t.log_len <- List.length !keep;
+            done;
+            truncate t !kept;
             t.last_receiver_count <- max t.last_receiver_count receiver_count;
             Ok
               {

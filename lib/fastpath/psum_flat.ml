@@ -172,7 +172,7 @@ let flush t =
             done
         done
     | Slab.Fast32 ->
-        (* p = 2^32 - 5, mirroring Psum's inlined fold reduction:
+        (* p = 2^32 - 5, mirroring Kernel's inlined fold reduction:
            x = hi * 2^32 + lo ≡ 5 * hi + lo (mod p). Lazy accumulation
            over k + 1 terms < 2^32 stays below 2^45, within the
            reducer's 2^50 domain. Folds are written out by hand — a
@@ -183,7 +183,7 @@ let flush t =
           for j = 0 to k - 1 do
             acc := !acc + Array.unsafe_get pw j
           done;
-          (* sidelint: allow — audited fast path (see Psum.reduce32) *)
+          (* sidelint: allow — audited fast path (see Kernel.reduce32) *)
           let x = ((!acc lsr 32) * 5) + (!acc land mask32) in
           (* sidelint: allow — second fold, same bound *)
           let x = ((x lsr 32) * 5) + (x land mask32) in
@@ -193,7 +193,7 @@ let flush t =
               let a = Array.unsafe_get pw j
               and b = Array.unsafe_get px j in
               (* 16-bit split keeps every product < 2^48 *)
-              (* sidelint: allow — high half (see Psum's mul32) *)
+              (* sidelint: allow — high half (see Kernel.mul32) *)
               let u = ((a lsr 16) * b) in
               (* sidelint: allow — fold the high-half product *)
               let u = ((u lsr 32) * 5) + (u land mask32) in

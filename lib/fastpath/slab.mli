@@ -17,7 +17,7 @@ type vec = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** How {!Psum_flat} multiplies in this slab's field. Selected by
     {!create}; exposed so the flush loop can dispatch once per batch. *)
 type arith =
-  | Fast32  (** p = 2^32 - 5: inlined fold reduction (mirrors Psum). *)
+  | Fast32  (** p = 2^32 - 5: inlined fold reduction (mirrors Kernel). *)
   | Fold of { p : int; b : int; c : int; mask : int }
       (** p = 2^b - c with 1 <= c <= 63 and 16 <= b <= 30 (the 16-,
           24- and 32*-bit preset primes; *2^32-5 has its own arm):

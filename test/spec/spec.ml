@@ -116,17 +116,27 @@ let ids_arb limit =
   QCheck.list_of_size (QCheck.Gen.int_range 0 limit)
     (QCheck.map abs QCheck.int)
 
-module Sketch_spec (S : SKETCH) = struct
-  let threshold = 12
+(* The reference kernels step four power sums, and evaluate four
+   candidates, at a time, so the sketch and decoder properties also run
+   at every remainder mod 4, around the paper's t = 20. Threshold 12 is
+   the historical default; the others carry it in the test name. *)
+let thresholds = [ 1; 2; 3; 5; 7; 12; 20; 21 ]
 
-  let fresh ids =
+let named ~threshold impl =
+  if threshold = 12 then impl else Printf.sprintf "%s@t%d" impl threshold
+
+let test_at ~threshold impl name =
+  test ~count:(if threshold = 12 then 300 else 100) (named ~threshold impl ^ ": " ^ name)
+
+module Sketch_spec (S : SKETCH) = struct
+  let fresh ~threshold ids =
     let s = S.create ~threshold in
     List.iter (S.insert s) ids;
     s
 
   (* The mathematical definition, computed independently with the
      overflow-safe scalar primitives: sums.(i) = Σ_j x_j^(i+1) mod p. *)
-  let model_sums ~modulus ids =
+  let model_sums ~threshold ~modulus ids =
     Array.init threshold (fun i ->
         List.fold_left
           (fun acc id ->
@@ -134,13 +144,14 @@ module Sketch_spec (S : SKETCH) = struct
             (acc + Modular.powmod x (i + 1) modulus) mod modulus)
           0 ids)
 
-  let props impl =
-    let t name = test (impl ^ ": " ^ name) in
+  let props ?(threshold = 12) impl =
+    let t name = test_at ~threshold impl name in
+    let fresh = fresh ~threshold in
     let ids = ids_arb threshold in
     [
       t "sums match the power-sum definition" ids (fun l ->
           let s = fresh l in
-          S.sums s = model_sums ~modulus:(S.modulus s) l
+          S.sums s = model_sums ~threshold ~modulus:(S.modulus s) l
           && S.count s = List.length l);
       t "sums stay in the field" (QCheck.pair ids ids) (fun (ins, outs) ->
           let s = fresh ins in
@@ -160,10 +171,8 @@ end
 (* Differential: two sketch implementations over the same modulus fed
    the same operation sequence expose identical state. *)
 module Sketch_diff (A : SKETCH) (B : SKETCH) = struct
-  let threshold = 12
-
-  let props impl =
-    let t name = test (impl ^ ": " ^ name) in
+  let props ?(threshold = 12) impl =
+    let t name = test_at ~threshold impl name in
     let ids = ids_arb threshold in
     [
       t "identical sums after identical inserts and removes"
@@ -190,43 +199,142 @@ end
    computes, so the flat-array sketch proves the identical roundtrip
    the reference does. *)
 module Decoder_spec (F : Modular.S) (S : SKETCH) = struct
-  let threshold = 12
   let field : (module Modular.S) = (module F)
 
   (* (ids, drop mask): receiver sees the ids whose mask bit is false *)
-  let scenario =
+  let scenario threshold =
     QCheck.map
       (fun l -> List.map (fun (id, dropped) -> (abs id mod F.modulus, dropped)) l)
       (QCheck.list_of_size
          (QCheck.Gen.int_range 0 threshold)
          (QCheck.pair QCheck.int QCheck.bool))
 
-  let roundtrip strategy l =
-    let sent = S.create ~threshold and recv = S.create ~threshold in
-    assert (S.modulus sent = F.modulus);
+  (* The sums of [sent] minus those of [received], pointwise in the
+     field, as Psum.difference computes them. *)
+  let diff ~threshold ~sent ~received =
+    let s = S.create ~threshold and r = S.create ~threshold in
+    assert (S.modulus s = F.modulus);
+    List.iter (S.insert s) sent;
+    List.iter (S.insert r) received;
+    let ss = S.sums s in
+    Array.mapi (fun i x -> F.sub ss.(i) x) (S.sums r)
+
+  let decode ~threshold strategy ~sent ~received ~candidates =
+    Decoder.decode ~strategy ~field
+      ~diff_sums:(diff ~threshold ~sent ~received)
+      ~num_missing:(List.length sent - List.length received)
+      ~candidates ()
+
+  let roundtrip ~threshold strategy l =
     let ids = List.map fst l in
     let dropped = List.filter_map (fun (id, d) -> if d then Some id else None) l in
-    List.iter (S.insert sent) ids;
-    List.iter (fun (id, d) -> if not d then S.insert recv id) l;
-    (* the pointwise in-field subtraction Psum.difference performs *)
-    let sent_sums = S.sums sent in
-    let diff = Array.mapi (fun i r -> F.sub sent_sums.(i) r) (S.sums recv) in
-    match
-      Decoder.decode ~strategy ~field ~diff_sums:diff
-        ~num_missing:(List.length dropped) ~candidates:ids ()
-    with
+    let received = List.filter_map (fun (id, d) -> if d then None else Some id) l in
+    match decode ~threshold strategy ~sent:ids ~received ~candidates:ids with
     | Error _ -> false
     | Ok { missing; unresolved } ->
         unresolved = 0
         && List.sort compare missing = List.sort compare dropped
 
-  let props impl =
-    let t name = test (impl ^ ": " ^ name) in
+  let reduced l = List.sort compare (List.map F.of_int l)
+
+  (* `Plug_in against the `Factor oracle: the same missing multiset up
+     to identifier aliasing (both return raw candidates, but may pick
+     different aliases of one root), and the same unresolved count. *)
+  let agree ~threshold ~sent ~received ~candidates =
+    match
+      ( decode ~threshold `Plug_in ~sent ~received ~candidates,
+        decode ~threshold `Factor ~sent ~received ~candidates )
+    with
+    | Ok a, Ok b ->
+        a.Decoder.unresolved = b.Decoder.unresolved
+        && reduced a.Decoder.missing = reduced b.Decoder.missing
+    | Error _, Error _ -> true
+    | Ok _, Error _ | Error _, Ok _ -> false
+
+  (* At most [threshold] of the drop flags survive, so the decode
+     never exceeds the threshold. *)
+  let cap_drops threshold l =
+    let n = ref 0 in
+    List.map
+      (fun (id, d) ->
+        let d = d && !n < threshold in
+        if d then incr n;
+        (id, d))
+      l
+
+  let split l =
+    ( List.map fst l,
+      List.filter_map (fun (id, d) -> if d then None else Some id) l )
+
+  let props ?(threshold = 12) impl =
+    let t name = test_at ~threshold impl name in
     [
-      t "plug-in decode recovers the dropped multiset" scenario
-        (roundtrip `Plug_in);
-      t "factor decode recovers the dropped multiset" scenario
-        (roundtrip `Factor);
+      t "plug-in decode recovers the dropped multiset" (scenario threshold)
+        (roundtrip ~threshold `Plug_in);
+      t "factor decode recovers the dropped multiset" (scenario threshold)
+        (roundtrip ~threshold `Factor);
+    ]
+
+  (* The inputs where the plug-in strategy's grouping and deflation
+     could go wrong, each checked against `Factor. *)
+  let oracle_props ?(threshold = 12) impl =
+    let t name = test_at ~threshold impl name in
+    let flagged ids =
+      QCheck.map (cap_drops threshold)
+        (QCheck.list_of_size
+           (QCheck.Gen.int_range 0 (2 * threshold))
+           (QCheck.pair ids QCheck.bool))
+    in
+    [
+      (* a pool of five ids: most candidates repeat, and a dropped
+         repeat is a multiple root *)
+      t "plug-in = factor on repeated ids" (flagged (QCheck.int_bound 4))
+        (fun l ->
+          let sent, received = split l in
+          agree ~threshold ~sent ~received ~candidates:sent
+          && roundtrip ~threshold `Plug_in l);
+      (* raw ids up to three times the modulus: aliases of one
+         residue are different candidates for the same root *)
+      t "plug-in = factor on aliased ids (>= modulus)"
+        (flagged (QCheck.int_bound ((3 * F.modulus) - 1)))
+        (fun l ->
+          let sent, received = split l in
+          agree ~threshold ~sent ~received ~candidates:sent);
+      (* withholding candidates leaves roots unmatched: both
+         strategies must report the same unresolved residue *)
+      t "plug-in = factor on truncated candidates"
+        (QCheck.pair (scenario threshold) (QCheck.list QCheck.bool))
+        (fun (l, keep) ->
+          let sent, received = split l in
+          let candidates =
+            List.filteri
+              (fun i _ -> match List.nth_opt keep i with Some k -> k | None -> true)
+              sent
+          in
+          agree ~threshold ~sent ~received ~candidates);
+      (* the same id at positions 3 and 4: a hit on the last
+         candidate of the first 4-group, then that root again at the
+         head of the next group — dropped twice it is a double root,
+         dropped once the quotient no longer has it *)
+      t "plug-in = factor on a repeated root across a 4-group boundary"
+        (QCheck.triple
+           (QCheck.list_of_size (QCheck.Gen.return 8)
+              (QCheck.pair QCheck.int QCheck.bool))
+           QCheck.int QCheck.bool)
+        (fun (others, x, both) ->
+          let x = abs x mod F.modulus in
+          let others =
+            List.map (fun (id, d) -> (abs id mod F.modulus, d)) others
+          in
+          let l =
+            List.filteri (fun i _ -> i < 3) others
+            @ [ (x, true); (x, both) ]
+            @ List.filteri (fun i _ -> i >= 3) others
+          in
+          let l = cap_drops threshold l in
+          let sent, received = split l in
+          agree ~threshold ~sent ~received ~candidates:sent
+          && roundtrip ~threshold `Plug_in l);
     ]
 end
 

@@ -15,6 +15,7 @@ module Fp = Sidecar_fastpath
 (* Field backends under test. *)
 module F16 = (val Primes.field_for_bits 16)
 module L16 = (val Log_field.make (Primes.field_for_bits 16))
+module F24 = (val Primes.field_for_bits 24)
 module F32 = (val Primes.field_for_bits 32)
 
 module F16_laws = Spec.Field_spec (F16)
@@ -47,6 +48,11 @@ end)
 module Gen16 = Sketch_of (struct
   let bits = 16
   let field = Primes.field_for_bits 16
+end)
+
+module Gen24 = Sketch_of (struct
+  let bits = 24
+  let field = Primes.field_for_bits 24
 end)
 
 module Log16 = Sketch_of (struct
@@ -97,6 +103,7 @@ end)
 
 module Ref32_spec = Spec.Sketch_spec (Ref32)
 module Gen16_spec = Spec.Sketch_spec (Gen16)
+module Gen24_spec = Spec.Sketch_spec (Gen24)
 module Log16_spec = Spec.Sketch_spec (Log16)
 module Flat16_spec = Spec.Sketch_spec (Flat16)
 module Flat24_spec = Spec.Sketch_spec (Flat24)
@@ -104,9 +111,11 @@ module Flat32_spec = Spec.Sketch_spec (Flat32)
 module FlatLog16_spec = Spec.Sketch_spec (FlatLog16)
 module Sketch_diff16 = Spec.Sketch_diff (Gen16) (Log16)
 module Flat_diff16 = Spec.Sketch_diff (Gen16) (Flat16)
+module Flat_diff24 = Spec.Sketch_diff (Gen24) (Flat24)
 module Flat_diff32 = Spec.Sketch_diff (Ref32) (Flat32)
 module Flat_diff_log16 = Spec.Sketch_diff (Flat16) (FlatLog16)
 module Decode16 = Spec.Decoder_spec (F16) (Gen16)
+module Decode24 = Spec.Decoder_spec (F24) (Gen24)
 module Decode32 = Spec.Decoder_spec (F32) (Ref32)
 module Decode16_flat = Spec.Decoder_spec (F16) (Flat16)
 module Decode32_flat = Spec.Decoder_spec (F32) (Flat32)
@@ -214,6 +223,14 @@ let test_invariant_twins_fire () =
     (Printf.sprintf "runtime twins executed (%d checks fired)" fired)
     true (fired > 0)
 
+(* The reference sketches (Psum16/24/32) and their decoders at every
+   threshold of [Spec.thresholds]; threshold 12 keeps its historical
+   place in each group below. *)
+let at_thresholds (props : ?threshold:int -> string -> QCheck2.Test.t list) impl =
+  List.concat_map
+    (fun threshold -> if threshold = 12 then [] else props ~threshold impl)
+    Spec.thresholds
+
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "spec"
@@ -227,18 +244,34 @@ let () =
           (Ref32_spec.props "Psum32" @ Gen16_spec.props "Psum16"
          @ Log16_spec.props "PsumLog16" @ Flat16_spec.props "Flat16"
          @ Flat24_spec.props "Flat24" @ Flat32_spec.props "Flat32"
-         @ FlatLog16_spec.props "FlatLog16") );
+         @ FlatLog16_spec.props "FlatLog16" @ Gen24_spec.props "Psum24"
+         @ at_thresholds Gen16_spec.props "Psum16"
+         @ at_thresholds Gen24_spec.props "Psum24"
+         @ at_thresholds Ref32_spec.props "Psum32") );
       ( "sketch-diff",
         q
           (Sketch_diff16.props "Psum16=PsumLog16"
           @ Flat_diff16.props "Psum16=Flat16"
           @ Flat_diff32.props "Psum32=Flat32"
-          @ Flat_diff_log16.props "Flat16=FlatLog16") );
+          @ Flat_diff_log16.props "Flat16=FlatLog16"
+          @ Flat_diff24.props "Psum24=Flat24"
+          @ at_thresholds Flat_diff16.props "Psum16=Flat16"
+          @ at_thresholds Flat_diff24.props "Psum24=Flat24"
+          @ at_thresholds Flat_diff32.props "Psum32=Flat32") );
       ( "decoder-spec",
         q
           (Decode16.props "Decoder16" @ Decode32.props "Decoder32"
          @ Decode16_flat.props "Decoder16/flat"
-         @ Decode32_flat.props "Decoder32/flat") );
+         @ Decode32_flat.props "Decoder32/flat" @ Decode24.props "Decoder24"
+         @ Decode16.oracle_props "Decoder16"
+         @ Decode24.oracle_props "Decoder24"
+         @ Decode32.oracle_props "Decoder32"
+         @ at_thresholds Decode16.props "Decoder16"
+         @ at_thresholds Decode24.props "Decoder24"
+         @ at_thresholds Decode32.props "Decoder32"
+         @ at_thresholds Decode16.oracle_props "Decoder16"
+         @ at_thresholds Decode24.oracle_props "Decoder24"
+         @ at_thresholds Decode32.oracle_props "Decoder32") );
       ( "flow-table-spec",
         q
           (Spec.Flow_table_spec.props "Flow_table"

@@ -76,6 +76,21 @@ let check_row path i = function
               name
               (String.concat ", " allowed)
       in
+      (* The quACK microbenchmark rows carry the minor-heap words of one
+         measured call, so an allocation regression in the sketch or the
+         decoder shows in the artifact; Table 2 has one column for each
+         of its two measured calls. *)
+      (match section with
+      | Some (Obs.Json.String (("table2" | "fig5" | "fig6") as s)) ->
+          let check_nonneg name =
+            match num name ~section:s with
+            | Some v when v < 0. ->
+                err path "row %d: %s field %S is negative" i s name
+            | Some _ | None -> ()
+          in
+          check_nonneg "alloc_words";
+          if String.equal s "table2" then check_nonneg "decode_alloc_words"
+      | _ -> ());
       if section = Some (Obs.Json.String "runtime_parallel") then begin
         let check_pos name =
           match num name ~section:"runtime_parallel" with
