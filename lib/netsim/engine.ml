@@ -14,7 +14,7 @@ let create ?(seed = 1) ?obs () =
   let t =
     {
       clock = Sim_time.zero;
-      events = Event_heap.create ();
+      events = Event_heap.create ~filler:ignore;
       rng = Rng.create seed;
       stopped = false;
       obs;
@@ -45,34 +45,32 @@ let stop t = t.stopped <- true
 
 let run ?until ?(max_events = 200_000_000) t =
   t.stopped <- false;
+  let limit = match until with Some l -> l | None -> max_int in
   let fired = ref 0 in
   let continue = ref true in
   while !continue do
     if t.stopped || !fired >= max_events then continue := false
+    else if Event_heap.is_empty t.events then begin
+      (* Heap drained before the horizon: the simulation is idle for
+         the rest of the window, so the clock still advances to
+         [until] — callers computing durations or rates from [now]
+         after a run must see the full window, not the instant of the
+         last event. *)
+      (match until with Some l when l > t.clock -> t.clock <- l | _ -> ());
+      continue := false
+    end
     else begin
-      match Event_heap.peek_time t.events with
-      | None ->
-          (* Heap drained before the horizon: the simulation is idle
-             for the rest of the window, so the clock still advances to
-             [until] — callers computing durations or rates from [now]
-             after a run must see the full window, not the instant of
-             the last event. *)
-          (match until with
-          | Some limit when limit > t.clock -> t.clock <- limit
-          | _ -> ());
-          continue := false
-      | Some time ->
-          (match until with
-          | Some limit when time > limit ->
-              t.clock <- limit;
-              continue := false
-          | _ -> (
-              match Event_heap.pop t.events with
-              | None -> continue := false (* cannot happen: peek saw an event *)
-              | Some (_, f) ->
-                  t.clock <- time;
-                  incr fired;
-                  Obs.Metrics.Counter.incr t.events_fired;
-                  f ()))
+      let time = Event_heap.min_time t.events in
+      if time > limit then begin
+        t.clock <- limit;
+        continue := false
+      end
+      else begin
+        let f = Event_heap.pop_min t.events in
+        t.clock <- time;
+        incr fired;
+        Obs.Metrics.Counter.incr t.events_fired;
+        f ()
+      end
     end
   done

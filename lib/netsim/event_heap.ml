@@ -1,76 +1,142 @@
-type 'a cell = { time : Sim_time.t; seq : int; value : 'a }
+(* Binary min-heap over (time, seq) kept in parallel int arrays. Heap
+   position [i] holds key (times.(i), seqs.(i)) and the slot
+   slots.(i) of its value in [values]. Values never move once stored:
+   a sift moves only the three ints of each entry, by walking a hole
+   down (or up) the tree and writing each displaced entry once, so it
+   touches no pointer and pays no write barrier. A popped value's slot
+   is overwritten with [filler] — never with another live value, which
+   would keep an already-fired event reachable — and goes onto the
+   free-slot stack for the next push.
+
+   The sift loops index below [len], which never exceeds the arrays'
+   shared length, so they use unchecked accesses.
+
+   Slots in use = [len]; slots ever handed out = [len + nfree], which
+   never exceeds the capacity, so every array shares one capacity. *)
 
 type 'a t = {
-  mutable cells : 'a cell array;  (* cells.(0) unused sentinel-free layout *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable slots : int array;  (* heap position -> value slot *)
+  mutable values : 'a array;  (* value slot -> value, or [filler] *)
+  mutable free : int array;  (* stack of vacated slots, top at nfree - 1 *)
+  mutable nfree : int;
   mutable len : int;
   mutable next_seq : int;
+  filler : 'a;
 }
 
-let create () = { cells = [||]; len = 0; next_seq = 0 }
+let initial_capacity = 16
+
+let create ~filler =
+  let n = initial_capacity in
+  {
+    times = Array.make n 0;
+    seqs = Array.make n 0;
+    slots = Array.make n 0;
+    values = Array.make n filler;
+    free = Array.make n 0;
+    nfree = 0;
+    len = 0;
+    next_seq = 0;
+    filler;
+  }
+
 let size t = t.len
 let is_empty t = t.len = 0
 
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
-(* Only called with a non-empty heap, so cells.(0) is a valid filler
-   for the unused tail slots. *)
+(* Only called when every slot is in use (len = capacity, nfree = 0). *)
 let grow t =
-  let ncells = Array.make (2 * Array.length t.cells) t.cells.(0) in
-  Array.blit t.cells 0 ncells 0 t.len;
-  t.cells <- ncells
+  let n = Array.length t.times in
+  let extend a fill =
+    let b = Array.make (2 * n) fill in
+    Array.blit a 0 b 0 n;
+    b
+  in
+  t.times <- extend t.times 0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.values <- extend t.values t.filler;
+  t.free <- Array.make (2 * n) 0
 
 let push t ~time value =
-  if t.len = Array.length t.cells then begin
-    if t.len = 0 then t.cells <- Array.make 16 { time; seq = 0; value }
-    else grow t
-  end;
-  let cell = { time; seq = t.next_seq; value } in
-  t.next_seq <- t.next_seq + 1;
+  if t.len = Array.length t.times then grow t;
+  let slot =
+    if t.nfree > 0 then begin
+      t.nfree <- t.nfree - 1;
+      t.free.(t.nfree)
+    end
+    else t.len
+  in
+  t.values.(slot) <- value;
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  (* sift up: [seq] is the largest key issued so far, so only a
+     strictly later parent time moves down into the hole *)
   let i = ref t.len in
   t.len <- t.len + 1;
-  t.cells.(!i) <- cell;
-  (* sift up *)
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if less cell t.cells.(parent) then begin
-      t.cells.(!i) <- t.cells.(parent);
-      t.cells.(parent) <- cell;
+    let pt = Array.unsafe_get times parent in
+    if time < pt then begin
+      Array.unsafe_set times !i pt;
+      Array.unsafe_set seqs !i (Array.unsafe_get seqs parent);
+      Array.unsafe_set slots !i (Array.unsafe_get slots parent);
       i := parent
     end
     else continue := false
-  done
+  done;
+  Array.unsafe_set times !i time;
+  Array.unsafe_set seqs !i seq;
+  Array.unsafe_set slots !i slot
 
-let pop t =
-  if t.len = 0 then None
-  else begin
-    let root = t.cells.(0) in
-    t.len <- t.len - 1;
-    if t.len > 0 then begin
-      let last = t.cells.(t.len) in
-      t.cells.(0) <- last;
-      (* sift down *)
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.len && less t.cells.(l) t.cells.(!smallest) then smallest := l;
-        if r < t.len && less t.cells.(r) t.cells.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.cells.(!i) in
-          t.cells.(!i) <- t.cells.(!smallest);
-          t.cells.(!smallest) <- tmp;
-          i := !smallest
+let min_time t =
+  if t.len = 0 then invalid_arg "Event_heap.min_time: empty heap";
+  t.times.(0)
+
+let pop_min t =
+  if t.len = 0 then invalid_arg "Event_heap.pop_min: empty heap";
+  let slot = t.slots.(0) in
+  let value = t.values.(slot) in
+  t.values.(slot) <- t.filler;
+  t.free.(t.nfree) <- slot;
+  t.nfree <- t.nfree + 1;
+  let n = t.len - 1 in
+  t.len <- n;
+  if n > 0 then begin
+    let times = t.times and seqs = t.seqs and slots = t.slots in
+    (* the last entry refills the root's hole, then sinks *)
+    let time = times.(n) and seq = seqs.(n) and last = slots.(n) in
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let r = l + 1 in
+        let c =
+          if r < n then begin
+            let tr = Array.unsafe_get times r and tl = Array.unsafe_get times l in
+            if tr < tl || (tr = tl && Array.unsafe_get seqs r < Array.unsafe_get seqs l)
+            then r
+            else l
+          end
+          else l
+        in
+        let tc = Array.unsafe_get times c in
+        if tc < time || (tc = time && Array.unsafe_get seqs c < seq) then begin
+          Array.unsafe_set times !i tc;
+          Array.unsafe_set seqs !i (Array.unsafe_get seqs c);
+          Array.unsafe_set slots !i (Array.unsafe_get slots c);
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some (root.time, root.value)
-  end
-
-let peek_time t = if t.len = 0 then None else Some t.cells.(0).time
-
-let clear t =
-  t.len <- 0;
-  t.cells <- [||]
+      end
+    done;
+    Array.unsafe_set times !i time;
+    Array.unsafe_set seqs !i seq;
+    Array.unsafe_set slots !i last
+  end;
+  value

@@ -2,6 +2,13 @@ module Engine = Netsim.Engine
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Identifier = Sidecar_quack.Identifier
+module Invariant = Sidecar_quack.Invariant
+
+[@@@sidespec
+  "sender-inflight-low: no in-flight seq lies below the watermark low, \
+   low <= next_seq, and the in-flight entry with the least seq (the one \
+   low advances to) has the minimum sent_at, which is what makes the \
+   one-entry loss pre-check exact"]
 
 type stats = {
   mutable transmissions : int;
@@ -34,12 +41,18 @@ type t = {
   egress : Packet.t -> unit;
   rtt : Rtt.t;
   inflight : (int, inflight) Hashtbl.t;
+      (* seqs enter in increasing order, each once, at non-decreasing
+         [sent_at]; see [low] *)
   unit_acked : Bytes.t;
   stats : stats;
   mutable started : bool;
   mutable available : int;  (* units eligible for first transmission *)
   mutable next_offset : int;
   mutable next_seq : int;
+  mutable low : int;
+      (* oldest-in-flight watermark: no seq below it is in [inflight].
+         Advanced lazily by [advance_low], so it may still name a seq
+         that has since left the table. *)
   mutable bytes_in_flight : int;
   mutable largest_acked : int;
   mutable recovery_until : int;  (* seqs below this do not trigger a new event *)
@@ -75,6 +88,10 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     total_units;
     egress;
     rtt = Rtt.create ();
+    (* The bucket count fixes [Hashtbl.iter]'s order, and that order is
+       the retransmission order whenever one ACK reveals two or more
+       losses ([detect_losses]). Every golden fixture depends on it:
+       resizing this table is a behaviour change. *)
     inflight = Hashtbl.create 1024;
     unit_acked = Bytes.make total_units '\000';
     stats =
@@ -89,6 +106,7 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     available = Option.value initially_available ~default:total_units;
     next_offset = 0;
     next_seq = 0;
+    low = 0;
     bytes_in_flight = 0;
     largest_acked = -1;
     recovery_until = 0;
@@ -127,6 +145,30 @@ let retx_pop t =
 let retx_push t offset = t.retx_queue_back <- offset :: t.retx_queue_back
 
 let retx_pending t = t.retx_queue <> [] || t.retx_queue_back <> []
+
+(* Move [low] up to the oldest seq still in flight, or to [next_seq]
+   when nothing is. Amortised O(1): [low] only rises and never passes
+   [next_seq]. *)
+let advance_low t =
+  while t.low < t.next_seq && not (Hashtbl.mem t.inflight t.low) do
+    t.low <- t.low + 1
+  done
+
+let check_low t what =
+  if Invariant.active () then
+    Invariant.check ~name:("sender-inflight-low: " ^ what) (fun () ->
+        let first = ref max_int and first_sent = ref 0 and oldest = ref max_int in
+        Hashtbl.iter
+          (fun seq p ->
+            if seq < !first then begin
+              first := seq;
+              first_sent := p.sent_at
+            end;
+            oldest := min !oldest p.sent_at)
+          t.inflight;
+        t.low <= t.next_seq
+        && t.low <= !first
+        && (!first = max_int || !first_sent = !oldest))
 
 (* Re-queue provisionally-acked units whose e2e confirmation never
    arrived. *)
@@ -168,26 +210,20 @@ and on_pto t gen =
     t.pto_count <- t.pto_count + 1;
     (* Declare the oldest in-flight packet lost and probe with its
        unit; persistent timeouts collapse the window. *)
-    let oldest =
-      Hashtbl.fold
-        (fun _ p acc ->
-          match acc with
-          | None -> Some p
-          | Some q -> if p.seq < q.seq then Some p else Some q)
-        t.inflight None
-    in
-    (match oldest with
-    | Some p ->
-        Hashtbl.remove t.inflight p.seq;
-        t.bytes_in_flight <- t.bytes_in_flight - p.size;
-        if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset
-    | None -> ());
+    advance_low t;
+    if t.low < t.next_seq then begin
+      let p = Hashtbl.find t.inflight t.low in
+      Hashtbl.remove t.inflight p.seq;
+      t.bytes_in_flight <- t.bytes_in_flight - p.size;
+      if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset
+    end;
     if t.pto_count >= 2 && not t.external_cc then t.cc.Cc.on_timeout ();
     sweep_provisional t;
     try_send t;
     if Hashtbl.length t.inflight > 0 || Hashtbl.length t.provisional > 0
        || retx_pending t
-    then arm_pto t
+    then arm_pto t;
+    check_low t "after PTO"
   end
 
 (* --- transmission -------------------------------------------------- *)
@@ -241,11 +277,14 @@ let mark_unit_acked t offset =
     t.stats.acked_units <- t.stats.acked_units + 1
   end
 
+(* RFC 9002-style loss detection: a packet older than the largest
+   acked is lost once it is [pkt_threshold] packets behind, or once its
+   age exceeds 9/8 of the RTT (the time threshold that makes endpoints
+   tolerant of in-network reordering/refills). *)
+let is_lost t ~threshold ~now ~age_limit seq p =
+  seq < threshold || (seq < t.largest_acked && Time.diff now p.sent_at > age_limit)
+
 let detect_losses t =
-  (* RFC 9002-style loss detection: a packet older than the largest
-     acked is lost once it is [pkt_threshold] packets behind, or once
-     its age exceeds 9/8 of the RTT (the time threshold that makes
-     endpoints tolerant of in-network reordering/refills). *)
   if t.largest_acked >= 0 then begin
     let threshold = t.largest_acked - t.pkt_threshold in
     let now = Engine.now t.engine in
@@ -254,27 +293,32 @@ let detect_losses t =
         9 * max (Rtt.srtt t.rtt) (Rtt.latest t.rtt) / 8
       else max_int
     in
-    let lost = ref [] in
-    Hashtbl.iter
-      (fun seq p ->
-        if
-          seq < threshold
-          || (seq < t.largest_acked && Time.diff now p.sent_at > age_limit)
-        then lost := p :: !lost)
-      t.inflight;
-    let new_event = ref false in
-    List.iter
-      (fun p ->
-        Hashtbl.remove t.inflight p.seq;
-        t.bytes_in_flight <- t.bytes_in_flight - p.size;
-        if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset;
-        if p.seq >= t.recovery_until then new_event := true)
-      !lost;
-    if !new_event then begin
-      t.recovery_until <- t.next_seq;
-      t.stats.congestion_events <- t.stats.congestion_events + 1;
-      if not t.external_cc then
-        t.cc.Cc.on_congestion ~now:(Engine.now t.engine)
+    (* The entry at [low] has both the least seq and the oldest
+       [sent_at] in flight, so if it passes neither test no entry does:
+       the scan runs only when at least one packet is lost. *)
+    advance_low t;
+    if
+      t.low < t.next_seq
+      && is_lost t ~threshold ~now ~age_limit t.low (Hashtbl.find t.inflight t.low)
+    then begin
+      let lost = ref [] in
+      Hashtbl.iter
+        (fun seq p -> if is_lost t ~threshold ~now ~age_limit seq p then lost := p :: !lost)
+        t.inflight;
+      let new_event = ref false in
+      List.iter
+        (fun p ->
+          Hashtbl.remove t.inflight p.seq;
+          t.bytes_in_flight <- t.bytes_in_flight - p.size;
+          if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset;
+          if p.seq >= t.recovery_until then new_event := true)
+        !lost;
+      if !new_event then begin
+        t.recovery_until <- t.next_seq;
+        t.stats.congestion_events <- t.stats.congestion_events + 1;
+        if not t.external_cc then
+          t.cc.Cc.on_congestion ~now:(Engine.now t.engine)
+      end
     end
   end
 
@@ -286,26 +330,31 @@ let deliver_ack t (p : Packet.t) =
       t.acked_units <- max t.acked_units acked_units;
       let newly_acked = ref 0 in
       let rtt_sample = ref None in
-      (* Iterate the (window-bounded) in-flight set rather than the
-         ranges, whose oldest interval grows with the whole transfer. *)
-      let covered seq = List.exists (fun (lo, hi) -> seq >= lo && seq <= hi) ranges in
-      let acked =
-        Hashtbl.fold (fun seq fl acc -> if covered seq then fl :: acc else acc)
-          t.inflight []
-      in
+      (* Look up the ranges' seqs, clipped to [low, next_seq): the
+         oldest range grows with the whole transfer, but only its part
+         inside the in-flight span can hold anything. The per-entry work
+         (removal, byte sums, idempotent unit marks, an RTT sample keyed
+         by the unique [largest]) does not depend on visiting order. *)
+      advance_low t;
       List.iter
-        (fun fl ->
-          Hashtbl.remove t.inflight fl.seq;
-          t.bytes_in_flight <- t.bytes_in_flight - fl.size;
-          newly_acked := !newly_acked + fl.size;
-          mark_unit_acked t fl.offset;
-          if fl.seq = largest && not fl.is_retx then
-            rtt_sample := Some (Time.diff now fl.sent_at))
-        acked;
+        (fun (lo, hi) ->
+          for seq = max lo t.low to min hi (t.next_seq - 1) do
+            match Hashtbl.find_opt t.inflight seq with
+            | Some fl ->
+                Hashtbl.remove t.inflight seq;
+                t.bytes_in_flight <- t.bytes_in_flight - fl.size;
+                newly_acked := !newly_acked + fl.size;
+                mark_unit_acked t fl.offset;
+                if seq = largest && not fl.is_retx then
+                  rtt_sample := Some (Time.diff now fl.sent_at)
+            | None -> ()
+          done)
+        ranges;
       (* Provisionally-released packets (freed by a sidecar quACK) are
          no longer in flight, but their units still need the e2e
          confirmation recorded here. *)
       if Hashtbl.length t.provisional > 0 then begin
+        let covered seq = List.exists (fun (lo, hi) -> seq >= lo && seq <= hi) ranges in
         let confirmed =
           Hashtbl.fold
             (fun seq (offset, _) acc -> if covered seq then (seq, offset) :: acc else acc)
@@ -329,7 +378,8 @@ let deliver_ack t (p : Packet.t) =
       if Hashtbl.length t.inflight > 0 || Hashtbl.length t.provisional > 0
          || retx_pending t
       then arm_pto t
-      else t.timer_gen <- t.timer_gen + 1 (* cancel timer *)
+      else t.timer_gen <- t.timer_gen + 1 (* cancel timer *);
+      check_low t "after ACK"
   | _ -> ()
 
 let external_ack t ~acked_bytes ~rtt =

@@ -71,65 +71,117 @@ let test_rng_bool_frequency () =
 (* ------------------------------------------------------------------ *)
 (* Event_heap                                                          *)
 
-let test_heap_ordering () =
-  let h = Event_heap.create () in
-  List.iter (fun t -> Event_heap.push h ~time:t t) [ 5; 1; 9; 3; 7; 2; 8 ];
-  let out = ref [] in
-  let rec drain () =
-    match Event_heap.pop h with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
+(* Pop everything, oldest first, as (time, value) pairs. *)
+let drain h =
+  let rec go acc =
+    if Event_heap.is_empty h then List.rev acc
+    else
+      let time = Event_heap.min_time h in
+      go ((time, Event_heap.pop_min h) :: acc)
   in
-  drain ();
-  check (Alcotest.list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.rev !out)
+  go []
+
+let test_heap_ordering () =
+  let h = Event_heap.create ~filler:0 in
+  List.iter (fun t -> Event_heap.push h ~time:t t) [ 5; 1; 9; 3; 7; 2; 8 ];
+  check (Alcotest.list int) "sorted" [ 1; 2; 3; 5; 7; 8; 9 ] (List.map snd (drain h))
 
 let test_heap_stable_ties () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:(-1) in
   for i = 0 to 9 do
     Event_heap.push h ~time:100 i
   done;
-  let out = ref [] in
-  let rec drain () =
-    match Event_heap.pop h with
-    | Some (_, v) ->
-        out := v :: !out;
-        drain ()
-    | None -> ()
-  in
-  drain ();
   check (Alcotest.list int) "FIFO at equal times" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
-    (List.rev !out)
+    (List.map snd (drain h))
 
 let test_heap_interleaved () =
-  let h = Event_heap.create () in
+  let h = Event_heap.create ~filler:"" in
   Event_heap.push h ~time:10 "a";
   Event_heap.push h ~time:5 "b";
-  (match Event_heap.pop h with
-  | Some (5, "b") -> ()
-  | _ -> Alcotest.fail "expected b at 5");
+  check int "min time" 5 (Event_heap.min_time h);
+  check Alcotest.string "b first" "b" (Event_heap.pop_min h);
   Event_heap.push h ~time:1 "c";
-  (match Event_heap.pop h with
-  | Some (1, "c") -> ()
-  | _ -> Alcotest.fail "expected c at 1");
+  check int "new min time" 1 (Event_heap.min_time h);
+  check Alcotest.string "c next" "c" (Event_heap.pop_min h);
   check int "size" 1 (Event_heap.size h);
-  check bool "peek" true (Event_heap.peek_time h = Some 10)
+  check int "remaining min time" 10 (Event_heap.min_time h)
+
+let test_heap_empty_raises () =
+  let h = Event_heap.create ~filler:() in
+  Alcotest.check_raises "min_time" (Invalid_argument "Event_heap.min_time: empty heap")
+    (fun () -> ignore (Event_heap.min_time h));
+  Alcotest.check_raises "pop_min" (Invalid_argument "Event_heap.pop_min: empty heap")
+    (fun () -> Event_heap.pop_min h)
+
+(* A fired event must not stay reachable from the heap: each of these
+   closures captures a 1 KB buffer, and after the drain and a full
+   collection none of the buffers may survive. The old cell-array heap
+   kept about a third of them alive through its vacated tail and its
+   growth filler. *)
+let test_heap_releases_fired_events () =
+  let n = 1000 in
+  let h = Event_heap.create ~filler:ignore in
+  let bufs = Weak.create n in
+  let rng = Rng.create 11 in
+  for i = 0 to n - 1 do
+    let buf = Bytes.make 1024 'x' in
+    Weak.set bufs i (Some buf);
+    Event_heap.push h ~time:(Rng.int rng 100) (fun () -> ignore (Bytes.length buf))
+  done;
+  while not (Event_heap.is_empty h) do
+    (Event_heap.pop_min h) ()
+  done;
+  Gc.full_major ();
+  let live = ref 0 in
+  for i = 0 to n - 1 do
+    if Weak.check bufs i then incr live
+  done;
+  check int "fired events reachable from the drained heap" 0 !live;
+  (* the heap itself must still be alive for the check to mean anything *)
+  check int "heap empty" 0 (Event_heap.size (Sys.opaque_identity h))
+
+(* The reference model: (time, value) pairs stably sorted on time, so
+   equal times stay in push order; a pop takes the head. *)
+let rec model_push model ((time, _) as e) =
+  match model with
+  | ((t, _) as x) :: rest when t <= time -> x :: model_push rest e
+  | rest -> e :: rest
 
 let qcheck_heap =
   let open QCheck in
+  let op = Gen.(frequency [ (3, map (fun t -> Some t) (int_bound 7)); (1, pure None) ]) in
   [
     Test.make ~name:"heap sorts any sequence" ~count:200
       (list (int_bound 100_000))
       (fun times ->
-        let h = Event_heap.create () in
+        let h = Event_heap.create ~filler:0 in
         List.iter (fun t -> Event_heap.push h ~time:t t) times;
-        let rec drain acc =
-          match Event_heap.pop h with
-          | Some (t, _) -> drain (t :: acc)
-          | None -> List.rev acc
-        in
-        drain [] = List.stable_sort compare times);
+        List.map fst (drain h) = List.stable_sort compare times);
+    (* Pushes (times from a small range, so ties are everywhere) and
+       pops interleaved at random, across several growths: every pop
+       must return exactly what a stable sort on time would. *)
+    Test.make ~name:"interleaved push/pop = stable-sort model" ~count:300
+      (make
+         ~print:Print.(list (option int))
+         Gen.(list_size (int_range 0 600) op))
+      (fun ops ->
+        let h = Event_heap.create ~filler:(-1) in
+        let model = ref [] and next = ref 0 and ok = ref true in
+        List.iter
+          (function
+            | Some time ->
+                Event_heap.push h ~time !next;
+                model := model_push !model (time, !next);
+                incr next
+            | None -> (
+                match !model with
+                | [] -> ok := !ok && Event_heap.is_empty h
+                | expect :: rest ->
+                    model := rest;
+                    let time = Event_heap.min_time h in
+                    ok := !ok && (time, Event_heap.pop_min h) = expect))
+          ops;
+        !ok && drain h = !model);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -873,6 +925,8 @@ let () =
           Alcotest.test_case "ordering" `Quick test_heap_ordering;
           Alcotest.test_case "stable ties" `Quick test_heap_stable_ties;
           Alcotest.test_case "interleaved" `Quick test_heap_interleaved;
+          Alcotest.test_case "empty raises" `Quick test_heap_empty_raises;
+          Alcotest.test_case "releases fired events" `Quick test_heap_releases_fired_events;
         ] );
       ("heap-props", q qcheck_heap);
       ( "engine",

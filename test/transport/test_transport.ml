@@ -693,6 +693,58 @@ let test_sender_streaming_availability () =
   Sender.make_available sender 100;
   check int "clamped to total" 10 !sent
 
+(* One ACK that reveals many losses at once. The loss scan walks the
+   in-flight hashtable, so its bucket order (fixed by the table's
+   initial size) decides the order of the retransmissions, and with it
+   every report downstream. This pins that order: a rewrite of the
+   sender's bookkeeping must reproduce it exactly. *)
+let test_sender_multi_loss_retx_order () =
+  let e = Netsim.Engine.create () in
+  let sent = ref [] in
+  let sender =
+    Sender.create e ~mss:1460
+      ~cc:(Cc.fixed ~cwnd_bytes:(20 * 1500))
+      ~total_units:100
+      ~egress:(fun p ->
+        match p.Netsim.Packet.payload with
+        | Frames.Data { offset } -> sent := offset :: !sent
+        | _ -> ())
+      ()
+  in
+  Sender.start sender;
+  check int "initial window" 20 (List.length !sent);
+  sent := [];
+  (* seqs 6..8 and 19 arrive; 0..5 and 9..15 fall behind the packet
+     threshold (3), 16..18 are younger than the time threshold *)
+  Netsim.Engine.schedule e ~delay:(Time.ms 10) (fun () ->
+      Sender.deliver_ack sender
+        (Frames.ack_packet ~uid:0 ~flow:0 ~id:0 ~seq:0 ~size:40 ~largest:19
+           ~ranges:[ (19, 19); (6, 8) ] ~acked_units:4 ~now:(Time.ms 10)));
+  Netsim.Engine.run ~until:(Time.ms 10) e;
+  let after = List.rev !sent in
+  let retx = List.filter (fun o -> o < 20) after in
+  check (Alcotest.list int) "retransmission order"
+    [ 3; 5; 10; 14; 12; 11; 9; 15; 4; 1; 0; 13; 2 ] retx;
+  check int "retransmissions counted" 13 (Sender.stats sender).Sender.retransmissions;
+  check (Alcotest.list int) "then new data" [ 20; 21; 22; 23 ]
+    (List.filter (fun o -> o >= 20) after)
+
+(* The sender-inflight-low contract's runtime twin runs after every ACK
+   and PTO once the debug gate is on; a lossy flow exercises both, plus
+   multi-loss scans, and must finish without a violation. *)
+let test_sender_low_twin_fires () =
+  let module Invariant = Sidecar_quack.Invariant in
+  let was = Invariant.active () in
+  Invariant.set_active true;
+  let before = Invariant.checks_run () in
+  let r =
+    Fun.protect
+      ~finally:(fun () -> Invariant.set_active was)
+      (fun () -> Flow.direct ~units:400 ~loss:(Loss.bernoulli 0.05) ())
+  in
+  check bool "completes" true r.Flow.completed;
+  check bool "twin fired" true (Invariant.checks_run () - before > 0)
+
 let () =
   Alcotest.run "transport"
     [
@@ -748,6 +800,9 @@ let () =
           Alcotest.test_case "sidecar_ack frees window" `Quick test_sender_sidecar_ack_frees_window;
           Alcotest.test_case "external cc" `Quick test_sender_external_cc_ignores_e2e_acks;
           Alcotest.test_case "streaming availability" `Quick test_sender_streaming_availability;
+          Alcotest.test_case "multi-loss retransmission order" `Quick
+            test_sender_multi_loss_retx_order;
+          Alcotest.test_case "inflight-low twin fires" `Quick test_sender_low_twin_fires;
         ] );
       ( "sealed",
         [

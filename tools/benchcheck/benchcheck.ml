@@ -1,6 +1,6 @@
 (* benchcheck: validate the repo's machine-readable outputs.
 
-   Usage: benchcheck FILE.json [FILE.json ...]
+   Usage: benchcheck FILE.json|FILE.jsonl ...
 
    Each file must carry a recognised "schema" tag:
 
@@ -21,8 +21,19 @@
    means the lint walked nothing (a misconfigured CI path, not a clean
    tree).
 
+   "sidecar-history-1" (BENCH_HISTORY.jsonl, one JSON object per line;
+   any FILE ending in .jsonl): see history.ml. Every line must be well
+   formed, the last one must cover every workload and end-to-end metric
+   of BENCHMARK.json, and none of its medians may be worse than the
+   previous line's by more than the metric's bound there. BENCHMARK.json
+   is read from the history file's directory.
+
    Exits non-zero (listing every problem) on any violation; prints a
-   one-line summary per valid file. *)
+   one-line summary per valid file.
+
+   benchcheck --history-line LABEL RUNS.jsonl prints the history line
+   that summarises RUNS.jsonl, perf.exe's untraced records of one
+   side of a comparison. *)
 
 let errors = ref 0
 
@@ -676,18 +687,69 @@ let check_lint path doc =
   | Some _ -> err path "\"violations\" is not a list"
   | None -> err path "missing \"violations\" list"
 
-let check_file path =
-  match Obs.Json.of_file path with
-  | Error e -> err path "unparseable: %s" e
+let json_lines path =
+  In_channel.with_open_text path In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.mapi (fun i l -> (i + 1, l))
+  |> List.filter (fun (_, l) -> String.trim l <> "")
+
+let check_history path =
+  let before = !errors in
+  let benchmark = Filename.concat (Filename.dirname path) "BENCHMARK.json" in
+  let lines =
+    List.filter_map
+      (fun (n, l) ->
+        match Obs.Json.of_string l with
+        | Error e ->
+            err path "line %d: unparseable: %s" n e;
+            None
+        | Ok j -> (
+            match History.line_of_json j with
+            | Ok line -> Some line
+            | Error problems ->
+                List.iter (err path "line %d: %s" n) problems;
+                None))
+      (json_lines path)
+  in
+  match Obs.Json.of_file benchmark with
+  | Error e -> err path "cannot read %s: %s" benchmark e
   | Ok doc -> (
-      match Obs.Json.member "schema" doc with
-      | Some (Obs.Json.String "sidecar-bench-1") -> check_bench path doc
-      | Some (Obs.Json.String "sidecar-lint-1") -> check_lint path doc
-      | Some (Obs.Json.String s) -> err path "unknown schema %S" s
-      | _ -> err path "missing \"schema\" tag")
+      match History.declared_of_json doc with
+      | Error e -> err path "%s %s" benchmark e
+      | Ok declared ->
+          if !errors = before then begin
+            List.iter (err path "%s") (History.check declared lines);
+            if !errors = before then
+              Printf.printf
+                "benchcheck: %s: %d history lines ok, no regression beyond %s's bounds\n" path
+                (List.length lines) benchmark
+          end)
+
+let check_file path =
+  if Filename.check_suffix path ".jsonl" then check_history path
+  else
+    match Obs.Json.of_file path with
+    | Error e -> err path "unparseable: %s" e
+    | Ok doc -> (
+        match Obs.Json.member "schema" doc with
+        | Some (Obs.Json.String "sidecar-bench-1") -> check_bench path doc
+        | Some (Obs.Json.String "sidecar-lint-1") -> check_lint path doc
+        | Some (Obs.Json.String s) -> err path "unknown schema %S" s
+        | _ -> err path "missing \"schema\" tag")
 
 let () =
   match Array.to_list Sys.argv with
+  | [ _; "--history-line"; label; runs ] -> (
+      let records =
+        List.filter_map
+          (fun (_, l) -> Option.bind (Result.to_option (Obs.Json.of_string l)) History.run_of_json)
+          (json_lines runs)
+      in
+      match History.summarise ~label records with
+      | Ok line -> print_endline (Perf_bench.Ledger.one_line line)
+      | Error e ->
+          Printf.eprintf "benchcheck: %s: %s\n" runs e;
+          exit 1)
   | _ :: (_ :: _ as paths) ->
       List.iter check_file paths;
       if !errors > 0 then begin
@@ -695,5 +757,7 @@ let () =
         exit 1
       end
   | _ ->
-      prerr_endline "usage: benchcheck FILE.json [FILE.json ...]";
+      prerr_endline
+        "usage: benchcheck FILE.json|FILE.jsonl ...\n\
+        \       benchcheck --history-line LABEL RUNS.jsonl";
       exit 2
