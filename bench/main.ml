@@ -8,11 +8,12 @@
              cc_compare fairness sweep short_flows runtime
              runtime_datapath runtime_field runtime_shard ablation
              extensions (default: all of them, in that order).
-   --jobs N fans the grid sweeps (table2/fig5/fig6/sweep/short_flows/
-   cc_compare/runtime points, fairness trials) over N domains via
-   lib/exec; default Exec.recommended_jobs () (the SIDECAR_JOBS env
-   overrides). Results are merged in submission order, so every table
-   and JSON row is identical for any N.
+   --jobs N fans the grid sweeps (sweep/short_flows/cc_compare/runtime
+   points, fairness trials) over N domains via lib/exec; default
+   Exec.recommended_jobs () (the SIDECAR_JOBS env overrides). Results
+   are merged in submission order, so every table and JSON row is
+   identical for any N. The quACK microbenchmarks (table2/fig5/fig6)
+   time one point at a time on the calling domain whatever N is.
    BENCH_RUNTIME_FLOWS caps the runtime section's flow count and
    BENCH_SHARD_FLOWS scales the runtime_shard scenarios.
    BENCH_DETERMINISTIC=1 drops wall-clock measurement from the runtime
@@ -291,19 +292,21 @@ let table3 _pool =
 (* ------------------------------------------------------------------ *)
 (* Fig. 5: construction time (us) vs threshold, n = 1000              *)
 
-let fig5 pool =
+let fig5 _pool =
   section "Fig. 5: construction time (us) vs threshold t (n=1000)";
   let thresholds = [ 10; 15; 20; 25; 30; 35; 40; 45; 50 ] in
   let widths = [ 16; 24; 32 ] in
-  (* Measure the 27-point grid in parallel; print and append rows in
-     submission order afterwards, so output is jobs-invariant. *)
+  (* The 27 points are measured one after another on this domain, as
+     in table2: a point timed while other domains run reads slower, and
+     Bechamel's heap stabilisation before each measurement can fail
+     outright while another domain allocates. *)
   let points =
     List.concat_map (fun t -> List.map (fun bits -> (t, bits)) widths)
       thresholds
   in
   let measured =
-    Exec.Pool.map pool
-      ~f:(fun _ctx (t, bits) ->
+    List.map
+      (fun (t, bits) ->
         let all = ids_b ~bits 1000 in
         measure_cost ~quota:0.1
           ~name:(Printf.sprintf "construct-b%d-t%d" bits t)
@@ -342,16 +345,17 @@ let fig5 pool =
 (* ------------------------------------------------------------------ *)
 (* Fig. 6: decoding time (us) vs missing packets, n = 1000, t = 20    *)
 
-let fig6 pool =
+let fig6 _pool =
   section "Fig. 6: decoding time (us) vs missing packets m (n=1000, t=20)";
   let missing = [ 0; 2; 5; 8; 10; 12; 15; 18; 20 ] in
   let widths = [ 16; 24; 32 ] in
+  (* One point at a time on this domain, as in fig5 and table2. *)
   let points =
     List.concat_map (fun m -> List.map (fun bits -> (m, bits)) widths) missing
   in
   let measured =
-    Exec.Pool.map pool
-      ~f:(fun _ctx (m, bits) ->
+    List.map
+      (fun (m, bits) ->
         let diff, nm, cands, field =
           decode_problem ~bits ~threshold:20 ~n:1000
             ~missing_idx:(spread_missing 1000 m)
@@ -1595,8 +1599,8 @@ let extensions _pool =
 
   section "Extension: log-table field (the paper's 16-bit precomputation)";
   let all16 = ids_b ~bits:16 1000 in
-  let generic =
-    measure_ns ~name:"f16-generic" (fun () -> build_psum ~bits:16 ~threshold:20 all16)
+  let modular =
+    measure_ns ~name:"f16-modular" (fun () -> build_psum ~bits:16 ~threshold:20 all16)
   in
   let field16 = Sidecar_field.Log_field.make (module Sidecar_field.Primes.F16) in
   let tabled =
@@ -1605,8 +1609,10 @@ let extensions _pool =
         List.iter (Psum.insert s) all16;
         s)
   in
-  Printf.printf "  16-bit construction, n=1000, t=20: generic %.1f us, log-table %.1f us\n"
-    (generic /. 1e3) (tabled /. 1e3);
+  Printf.printf
+    "  16-bit construction, n=1000, t=20: modular (fold-reduced) %.1f us, \
+     log-table %.1f us\n"
+    (modular /. 1e3) (tabled /. 1e3);
 
   section "Extension: analytic recovery model vs the simulator (paper ref [1])";
   let e2e = { Analysis.loss = 0.; recovery_rtt = 0.060 } in

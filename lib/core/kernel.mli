@@ -7,10 +7,24 @@
     kernel is a whole loop, never a per-element helper, because a
     function called across modules is not inlined (the dev profile
     compiles with [-opaque]) and a local helper that captures variables
-    is a heap-allocated closure (no flambda). The p = 2^32 - 5 field,
-    the paper's b = 32 default, gets the fold reduction written out
-    inline; every other field goes through its own [Modular.S]
-    operations.
+    is a heap-allocated closure (no flambda).
+
+    Each kernel has three arms, chosen once by {!of_field}:
+    - p = 2^32 - 5, the paper's b = 32 default: its fold reduction is
+      written out inline with the constants;
+    - a field that declares itself pseudo-Mersenne
+      ([Modular.S.pseudo_mersenne = Some (k, c)]) with 16 <= k <= 30
+      and c <= 63, such as every largest prime below 2^b for those
+      widths: the same loops with a two-fold reduction by
+      [2^k = c (mod p)], inlined;
+    - every other field ([Log_field]'s table multiply, b = 31, widths
+      below 16, moduli that are not pseudo-Mersenne) goes through its
+      own [Modular.S] operations.
+
+    The choice follows what the field declares about its reduction,
+    not its modulus: a [Log_field] keeps its table multiply even over
+    a modulus the fold arm would take. Field arithmetic is exact, so
+    all three arms compute the same values.
 
     All kernels take field elements in [0, p) unless they say "raw", in
     which case the identifier is reduced into the field first, and all
@@ -21,6 +35,9 @@ type t
 
 val of_field : (module Sidecar_field.Modular.S) -> t
 val modulus : t -> int
+
+val arm : t -> [ `P32 | `Fold of int | `Closure ]
+(** The arm {!of_field} chose: [`Fold k] folds by [2^k]. *)
 
 val residue : t -> int -> int
 (** [residue k id] reduces a raw identifier into [0, p). *)

@@ -41,6 +41,9 @@ let make (module F : Modular.S) : (module Modular.S) =
 
     let bits = F.bits
     let modulus = p
+
+    (* The table multiply never folds, whatever the modulus. *)
+    let pseudo_mersenne = None
     let zero = 0
     let one = 1
     let of_int = F.of_int

@@ -8,6 +8,7 @@ module type S = sig
 
   val bits : int
   val modulus : int
+  val pseudo_mersenne : (int * int) option
   val zero : t
   val one : t
   val of_int : int -> t

@@ -23,6 +23,14 @@ module type S = sig
   val modulus : int
   (** The prime [p]. *)
 
+  val pseudo_mersenne : (int * int) option
+  (** [Some (k, e)] when [modulus = 2^k - e] and this field's [mul]
+      reduces by folding [2^k = e (mod p)]; [None] when it multiplies
+      some other way (division, log tables). A property of the field's
+      reduction, not of its modulus alone: a caller that inlines the
+      fold (the quACK core's [Kernel]) must not do so for a field that
+      declares [None]. *)
+
   val zero : t
   val one : t
 

@@ -1163,7 +1163,7 @@ let test_psum_log_field () =
   let ids = ids_of_range key ~bits:16 0 500 in
   Psum.insert_list a ids;
   Psum.insert_list b ids;
-  check bool "log-table sums = generic sums" true (Psum.sums a = Psum.sums b);
+  check bool "log-table sums = default-field sums" true (Psum.sums a = Psum.sums b);
   Alcotest.check_raises "width mismatch"
     (Invalid_argument "Psum.create: field width mismatch") (fun () ->
       ignore (Psum.create ~bits:32 ~field:field16 ~threshold:4 ()))

@@ -18,6 +18,7 @@ module Modular = Sidecar_field.Modular
 module Primes = Sidecar_field.Primes
 module Psum = Sidecar_quack.Psum
 module Decoder = Sidecar_quack.Decoder
+module Kernel = Sidecar_quack.Kernel
 module Invariant = Sidecar_quack.Invariant
 module Flow_table = Sidecar_runtime.Flow_table
 module Time = Netsim.Sim_time
@@ -93,6 +94,136 @@ module Field_diff (A : Modular.S) (B : Modular.S) = struct
           let a, b = (A.of_int x, A.of_int y) in
           QCheck.assume (b <> 0);
           A.inv b = B.inv b && A.div a b = B.div a b);
+    ]
+end
+
+(* ------------------------------------------------------------------ *)
+(* Kernel loops: whichever arm [Kernel.of_field] picks for [F] — the
+   inlined 2^32 - 5 loops, the fold-reduced pseudo-Mersenne loops or
+   [F]'s own closures — every loop equals the naive one written with
+   [F.add]/[F.mul]. Run over every width, a gate edge that lets a
+   product overflow or a fold fall short shows up as a wrong value. *)
+
+module Kernel_spec (F : Modular.S) = struct
+  let kernel = Kernel.of_field (module F)
+  let p = F.modulus
+
+  (* Raw identifiers, random or at the edges of the reduction. *)
+  let raw_gen =
+    QCheck.Gen.(
+      oneof
+        [ int; oneofl [ 0; 1; p - 1; p; (1 lsl F.bits) - 1; (1 lsl 32) - 1 ] ])
+
+  let elt_gen =
+    QCheck.Gen.(oneof [ map F.of_int int; oneofl [ 0; 1; p - 1 ] ])
+
+  let elts n = QCheck.Gen.(array_size (int_range 0 n) elt_gen)
+
+  (* [scale * prod (x - r)] over [roots], lowest coefficient first. *)
+  let poly scale roots =
+    List.fold_left
+      (fun f r ->
+        Array.init
+          (Array.length f + 1)
+          (fun i ->
+            let hi = if i >= 1 then f.(i - 1) else F.zero in
+            let lo = if i < Array.length f then F.mul r f.(i) else F.zero in
+            F.sub hi lo))
+      [| scale |] roots
+
+  let eval f x =
+    let a = ref f.(Array.length f - 1) in
+    for i = Array.length f - 2 downto 0 do
+      a := F.add (F.mul !a x) f.(i)
+    done;
+    !a
+
+  (* Four raw ids and a polynomial with some of them among its roots. *)
+  let poly_arb =
+    QCheck.make
+      QCheck.Gen.(
+        map
+          (fun (scale, others, picks) ->
+            let ids = Array.of_list (List.map fst picks) in
+            let roots =
+              others
+              @ List.filter_map
+                  (fun (id, root) -> if root then Some (F.of_int id) else None)
+                  picks
+            in
+            (poly scale roots, ids))
+          (triple elt_gen
+             (list_size (int_range 0 6) elt_gen)
+             (list_repeat 4 (pair raw_gen bool))))
+
+  let props impl =
+    let t name = test ~count:100 (impl ^ ": " ^ name) in
+    [
+      t "add_powers/sub_powers = naive power row"
+        (QCheck.make
+           QCheck.Gen.(
+             elts 21 >>= fun sums ->
+             triple (return sums) (int_bound (Array.length sums))
+               (pair raw_gen bool)))
+        (fun (sums, len, (id, neg)) ->
+          let got = Array.copy sums in
+          (if neg then Kernel.sub_powers else Kernel.add_powers)
+            kernel got len id;
+          let want = Array.copy sums in
+          let x = F.of_int id in
+          let pw = ref x in
+          for i = 0 to len - 1 do
+            want.(i) <- (if neg then F.sub else F.add) want.(i) !pw;
+            pw := F.mul !pw x
+          done;
+          got = want);
+      t "newton = naive Newton's identities"
+        (QCheck.make (elts (min 21 (p - 1))))
+        (fun sums ->
+          let m = Array.length sums in
+          let got = Array.make (m + 2) 7 in
+          Kernel.newton kernel ~inv:(Kernel.inverses kernel m) ~sums m got;
+          let want = Array.make (m + 2) 7 in
+          want.(m) <- F.one;
+          for j = 1 to m do
+            let acc = ref F.zero in
+            for i = 1 to j do
+              acc := F.add !acc (F.mul want.(m - j + i) sums.(i - 1))
+            done;
+            want.(m - j) <- F.neg (F.div !acc (F.of_int j))
+          done;
+          got = want);
+      t "horner4/is_root = naive evaluation" poly_arb (fun (f, ids) ->
+          let deg = Array.length f - 1 in
+          let mask = Kernel.horner4 kernel f deg ids 0 in
+          let ok = ref true in
+          Array.iteri
+            (fun j id ->
+              let root = F.equal (eval f (F.of_int id)) F.zero in
+              ok :=
+                !ok
+                && mask land (1 lsl j) <> 0 = root
+                && Kernel.is_root kernel f deg id = root)
+            ids;
+          !ok);
+      t "deflate = naive synthetic division"
+        (QCheck.make
+           QCheck.Gen.(
+             triple elt_gen (list_size (int_range 0 6) elt_gen) raw_gen))
+        (fun (scale, others, id) ->
+          let f = poly scale (F.of_int id :: others) in
+          let deg = Array.length f - 1 in
+          let got = Array.copy f in
+          Kernel.deflate kernel got deg id;
+          let want = Array.copy f in
+          let r = F.of_int id in
+          let carry = ref want.(deg) in
+          for j = deg - 1 downto 0 do
+            let orig = want.(j) in
+            want.(j) <- !carry;
+            carry := F.add (F.mul !carry r) orig
+          done;
+          got = want);
     ]
 end
 

@@ -7,6 +7,7 @@ module Modular = Sidecar_field.Modular
 module Primes = Sidecar_field.Primes
 module Log_field = Sidecar_field.Log_field
 module Psum = Sidecar_quack.Psum
+module Kernel = Sidecar_quack.Kernel
 module Invariant = Sidecar_quack.Invariant
 module Flow_table = Sidecar_runtime.Flow_table
 module Time = Netsim.Sim_time
@@ -23,9 +24,10 @@ module F32_laws = Spec.Field_spec (F32)
 module L16_laws = Spec.Field_spec (L16)
 module Diff16 = Spec.Field_diff (F16) (L16)
 
-(* Sketch implementations: the reference fast-32 path, the generic
-   closure path over the 16-bit field, and the same 16-bit field
-   served through the log/antilog tables. *)
+(* Sketch implementations: the reference sketch over the 32-, 16- and
+   24-bit presets (the kernel's inlined 2^32 - 5 loops and its
+   fold-reduced arm), and the same 16-bit field served through the
+   log/antilog tables, which keeps the kernel on its closure arm. *)
 module Sketch_of (X : sig
   val bits : int
   val field : (module Modular.S)
@@ -45,12 +47,12 @@ module Ref32 = Sketch_of (struct
   let field = Primes.field_for_bits 32
 end)
 
-module Gen16 = Sketch_of (struct
+module Ref16 = Sketch_of (struct
   let bits = 16
   let field = Primes.field_for_bits 16
 end)
 
-module Gen24 = Sketch_of (struct
+module Ref24 = Sketch_of (struct
   let bits = 24
   let field = Primes.field_for_bits 24
 end)
@@ -102,23 +104,94 @@ module FlatLog16 = Flat_of (struct
 end)
 
 module Ref32_spec = Spec.Sketch_spec (Ref32)
-module Gen16_spec = Spec.Sketch_spec (Gen16)
-module Gen24_spec = Spec.Sketch_spec (Gen24)
+module Ref16_spec = Spec.Sketch_spec (Ref16)
+module Ref24_spec = Spec.Sketch_spec (Ref24)
 module Log16_spec = Spec.Sketch_spec (Log16)
 module Flat16_spec = Spec.Sketch_spec (Flat16)
 module Flat24_spec = Spec.Sketch_spec (Flat24)
 module Flat32_spec = Spec.Sketch_spec (Flat32)
 module FlatLog16_spec = Spec.Sketch_spec (FlatLog16)
-module Sketch_diff16 = Spec.Sketch_diff (Gen16) (Log16)
-module Flat_diff16 = Spec.Sketch_diff (Gen16) (Flat16)
-module Flat_diff24 = Spec.Sketch_diff (Gen24) (Flat24)
+module Sketch_diff16 = Spec.Sketch_diff (Ref16) (Log16)
+module Flat_diff16 = Spec.Sketch_diff (Ref16) (Flat16)
+module Flat_diff24 = Spec.Sketch_diff (Ref24) (Flat24)
 module Flat_diff32 = Spec.Sketch_diff (Ref32) (Flat32)
 module Flat_diff_log16 = Spec.Sketch_diff (Flat16) (FlatLog16)
-module Decode16 = Spec.Decoder_spec (F16) (Gen16)
-module Decode24 = Spec.Decoder_spec (F24) (Gen24)
+module Decode16 = Spec.Decoder_spec (F16) (Ref16)
+module Decode24 = Spec.Decoder_spec (F24) (Ref24)
 module Decode32 = Spec.Decoder_spec (F32) (Ref32)
 module Decode16_flat = Spec.Decoder_spec (F16) (Flat16)
 module Decode32_flat = Spec.Decoder_spec (F32) (Flat32)
+
+(* The table-multiply field is the only one left on the kernel's
+   closure arm, so its decoder keeps that arm's newton/horner4/deflate
+   under test. *)
+module DecodeLog16 = Spec.Decoder_spec (L16) (Log16)
+
+(* Every width the field presets serve, plus two table-multiply fields,
+   each with the kernel arm it must get: fold exactly inside the proven
+   gate (b = 16..30), and never for a table multiply, whatever its
+   modulus. *)
+let kernel_fields =
+  List.init 31 (fun i ->
+      let b = i + 2 in
+      let arm =
+        if b = 32 then `P32 else if b >= 16 && b <= 30 then `Fold b else `Closure
+      in
+      (Printf.sprintf "Kernel%d" b, Primes.field_for_bits b, arm))
+  @ [
+      ("KernelLog16", (module L16 : Modular.S), `Closure);
+      ("KernelLog20", Log_field.make (Primes.field_for_bits 20), `Closure);
+    ]
+
+let kernel_props =
+  List.concat_map
+    (fun (name, field, _) ->
+      let module K = Spec.Kernel_spec ((val field : Modular.S)) in
+      K.props name)
+    kernel_fields
+
+let test_kernel_arms () =
+  let show = function
+    | `P32 -> "p32"
+    | `Fold w -> Printf.sprintf "fold %d" w
+    | `Closure -> "closure"
+  in
+  List.iter
+    (fun (name, field, arm) ->
+      Alcotest.(check string) name (show arm)
+        (show (Kernel.arm (Kernel.of_field field))))
+    kernel_fields
+
+(* Every arm's loops allocate nothing: a [Gc.minor_words] delta over
+   many calls, so the counter's own boxed floats stay far below one
+   word per call. *)
+let test_kernel_no_alloc () =
+  List.iter
+    (fun (name, field, _) ->
+      let k = Kernel.of_field field and t = 20 in
+      let ids = Array.init t (fun i -> i + 1) in
+      let sums = Array.make t 0 and f = Array.make (t + 1) 0 in
+      let inv = Kernel.inverses k t in
+      Array.iter (Kernel.add_powers k sums t) ids;
+      let calls = 1000 in
+      let before = Gc.minor_words () in
+      for i = 1 to calls do
+        Kernel.add_powers k sums t i;
+        Kernel.sub_powers k sums t i;
+        Kernel.newton k ~inv ~sums t f;
+        ignore (Sys.opaque_identity (Kernel.horner4 k f t ids (i mod (t - 3))));
+        ignore (Sys.opaque_identity (Kernel.is_root k f t i));
+        Kernel.deflate k f t ids.(i mod t)
+      done;
+      let words = Gc.minor_words () -. before in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.0f words over %d calls" name words calls)
+        true
+        (words < float_of_int calls))
+    (List.filter
+       (fun (name, _, _) ->
+         List.mem name [ "Kernel16"; "Kernel24"; "Kernel32"; "KernelLog16" ])
+       kernel_fields)
 
 module Flat_table_spec = Spec.Table_spec (struct
   type t = Fp.Flat_table.t
@@ -241,12 +314,12 @@ let () =
       ("field-diff", q (Diff16.props "Modular16=Log16"));
       ( "sketch-spec",
         q
-          (Ref32_spec.props "Psum32" @ Gen16_spec.props "Psum16"
+          (Ref32_spec.props "Psum32" @ Ref16_spec.props "Psum16"
          @ Log16_spec.props "PsumLog16" @ Flat16_spec.props "Flat16"
          @ Flat24_spec.props "Flat24" @ Flat32_spec.props "Flat32"
-         @ FlatLog16_spec.props "FlatLog16" @ Gen24_spec.props "Psum24"
-         @ at_thresholds Gen16_spec.props "Psum16"
-         @ at_thresholds Gen24_spec.props "Psum24"
+         @ FlatLog16_spec.props "FlatLog16" @ Ref24_spec.props "Psum24"
+         @ at_thresholds Ref16_spec.props "Psum16"
+         @ at_thresholds Ref24_spec.props "Psum24"
          @ at_thresholds Ref32_spec.props "Psum32") );
       ( "sketch-diff",
         q
@@ -271,7 +344,16 @@ let () =
          @ at_thresholds Decode32.props "Decoder32"
          @ at_thresholds Decode16.oracle_props "Decoder16"
          @ at_thresholds Decode24.oracle_props "Decoder24"
-         @ at_thresholds Decode32.oracle_props "Decoder32") );
+         @ at_thresholds Decode32.oracle_props "Decoder32"
+         @ DecodeLog16.props "DecoderLog16"
+         @ DecodeLog16.oracle_props "DecoderLog16"
+         @ at_thresholds DecodeLog16.props "DecoderLog16"
+         @ at_thresholds DecodeLog16.oracle_props "DecoderLog16") );
+      ( "kernel-diff",
+        Alcotest.test_case "arm follows the declared reduction" `Quick
+          test_kernel_arms
+        :: Alcotest.test_case "no arm allocates" `Quick test_kernel_no_alloc
+        :: q kernel_props );
       ( "flow-table-spec",
         q
           (Spec.Flow_table_spec.props "Flow_table"
