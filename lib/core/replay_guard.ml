@@ -1,5 +1,3 @@
-module Sha256 = Sidecar_hash.Sha256
-
 type verdict = Fresh | Replay | Regression
 
 let verdict_name = function
@@ -7,11 +5,16 @@ let verdict_name = function
   | Replay -> "replay"
   | Regression -> "regression"
 
+(* One accepted emission: its index and the fields the sender state
+   consumes, with a private copy of the sums. *)
+type entry = { index : int; bits : int; count_bits : int; count : int; sums : int array }
+
 type t = {
   depth : int;
-  (* (index, digest) of recently accepted quACKs; empty slots hold
-     index -1 which no real emission can carry *)
-  ring : (int * string) array;
+  (* the last [depth] accepted quACKs, oldest overwritten first; only
+     the first [filled] slots hold one *)
+  ring : entry array;
+  mutable filled : int;
   mutable pos : int;
   mutable last_index : int;
   mutable replays : int;
@@ -23,7 +26,8 @@ let create ?(depth = 32) () =
   if depth < 1 then invalid_arg "Replay_guard.create: depth must be positive";
   {
     depth;
-    ring = Array.make depth (-1, "");
+    ring = Array.make depth { index = -1; bits = 0; count_bits = 0; count = 0; sums = [||] };
+    filled = 0;
     pos = 0;
     last_index = 0;
     replays = 0;
@@ -31,32 +35,46 @@ let create ?(depth = 32) () =
     accepted = 0;
   }
 
-(* The digest covers everything the sender state consumes from a
-   quACK: an attacker replaying bytes reproduces it exactly, while a
-   genuinely restarted receiver sketch (fresh counts, fresh sums)
-   cannot collide with a remembered emission except with SHA-256
-   collision probability. *)
-let digest (q : Quack.t) =
-  Sha256.digest_int_list
-    (q.Quack.bits :: q.Quack.count_bits :: q.Quack.count
-    :: Array.to_list q.Quack.sums)
+(* A remembered emission matches on everything the sender state
+   consumes from a quACK: an attacker replaying bytes reproduces it
+   exactly, while a genuinely restarted receiver sketch (fresh counts,
+   fresh sums) differs from every remembered emission. The modulus is
+   not compared: it is fixed by the configuration, not by the
+   emission. *)
+let matches e ~index (q : Quack.t) =
+  e.index = index && e.bits = q.Quack.bits && e.count_bits = q.Quack.count_bits
+  && e.count = q.Quack.count
+  && Array.length e.sums = Array.length q.Quack.sums
+  &&
+  let rec same i = i < 0 || (e.sums.(i) = q.Quack.sums.(i) && same (i - 1)) in
+  same (Array.length e.sums - 1)
 
-let remember t ~index d =
-  t.ring.(t.pos) <- (index, d);
-  t.pos <- (t.pos + 1) mod t.depth
+(* The sums are copied, so later writes to the caller's array cannot
+   alter what was remembered. *)
+let remember t ~index (q : Quack.t) =
+  t.ring.(t.pos) <-
+    {
+      index;
+      bits = q.Quack.bits;
+      count_bits = q.Quack.count_bits;
+      count = q.Quack.count;
+      sums = Array.copy q.Quack.sums;
+    };
+  t.pos <- (t.pos + 1) mod t.depth;
+  t.filled <- min t.depth (t.filled + 1)
 
-let seen t ~index d =
-  Array.exists (fun (i, h) -> i = index && String.equal h d) t.ring
+let seen t ~index q =
+  let rec go k = k < t.filled && (matches t.ring.(k) ~index q || go (k + 1)) in
+  go 0
 
 let classify t ~index q =
-  let d = digest q in
   if index > t.last_index then begin
     t.last_index <- index;
     t.accepted <- t.accepted + 1;
-    remember t ~index d;
+    remember t ~index q;
     Fresh
   end
-  else if seen t ~index d then begin
+  else if seen t ~index q then begin
     t.replays <- t.replays + 1;
     Replay
   end
@@ -68,7 +86,7 @@ let classify t ~index q =
     t.regressions <- t.regressions + 1;
     t.last_index <- index;
     t.accepted <- t.accepted + 1;
-    remember t ~index d;
+    remember t ~index q;
     Regression
   end
 

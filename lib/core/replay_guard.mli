@@ -13,13 +13,13 @@
       and triggers spurious retransmissions, so a single captured
       packet becomes a reusable denial-of-progress token.
 
-    The guard distinguishes them by remembering a digest of the last
-    [depth] accepted quACKs: a regressed index whose contents match a
-    remembered emission is a {!Replay} (drop it, count it); one with
-    contents never seen before is a {!Regression} (restart — resync as
-    before). A restarted emitter re-counts from a fresh sketch, so its
-    emissions cannot reproduce a remembered digest except by SHA-256
-    collision. *)
+    The guard distinguishes them by remembering the contents of the
+    last [depth] accepted quACKs (index, bit widths, count and a copy of
+    the power sums) and comparing them exactly: a regressed index whose
+    contents match a remembered emission is a {!Replay} (drop it, count
+    it); one with contents never seen before is a {!Regression}
+    (restart — resync as before). A restarted emitter re-counts from a
+    fresh sketch, so its emissions do not reproduce a remembered one. *)
 
 type verdict =
   | Fresh  (** index advanced: apply normally *)

@@ -40,8 +40,10 @@ let near cfg =
         }
     in
     (* Copy buffer keyed by uid; bounded FIFO. meta: the buffered
-       packet itself, so missing packets can be resent byte-identical. *)
-    let buffer : (int, Packet.t) Hashtbl.t = Hashtbl.create 1024 in
+       packet itself, so missing packets can be resent byte-identical.
+       It is never iterated, so its bucket count is free: start small
+       and let it grow with use. *)
+    let buffer : (int, Packet.t) Hashtbl.t = Hashtbl.create 16 in
     let buffer_fifo : int Queue.t = Queue.create () in
     let buffer_peak = ref 0 in
     let quack_every = ref cfg.initial_quack_every in

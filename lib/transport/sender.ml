@@ -5,9 +5,11 @@ module Identifier = Sidecar_quack.Identifier
 module Invariant = Sidecar_quack.Invariant
 
 [@@@sidespec
-  "sender-inflight-low: no in-flight seq lies below the watermark low, \
-   low <= next_seq, and the in-flight entry with the least seq (the one \
-   low advances to) has the minimum sent_at, which is what makes the \
+  "sender-inflight-low: low <= next_seq, the span [low, next_seq) fits \
+   the in-flight ring, every live slot of the whole ring holds a seq of \
+   that span (the ring's live slots and the span's both number exactly \
+   the in-flight count), and the in-flight entry with the least seq (the \
+   one low advances to) has the minimum sent_at, which is what makes the \
    one-entry loss pre-check exact"]
 
 type stats = {
@@ -16,14 +18,6 @@ type stats = {
   mutable congestion_events : int;
   mutable timeouts : int;
   mutable acked_units : int;
-}
-
-type inflight = {
-  seq : int;
-  offset : int;
-  size : int;
-  sent_at : Time.t;
-  is_retx : bool;
 }
 
 type t = {
@@ -40,9 +34,15 @@ type t = {
   total_units : int;
   egress : Packet.t -> unit;
   rtt : Rtt.t;
-  inflight : (int, inflight) Hashtbl.t;
-      (* seqs enter in increasing order, each once, at non-decreasing
-         [sent_at]; see [low] *)
+  (* In-flight packets: a ring of parallel columns over the span
+     [low, next_seq), seq [s] in slot [s land (capacity - 1)]. Seqs
+     enter in increasing order, each once, at non-decreasing [sent_at];
+     the span always fits the ring, so each live slot holds one seq. *)
+  mutable state : Bytes.t;  (* per slot: [free], [fresh] or [retx] *)
+  mutable offsets : int array;
+  mutable sent_at : Time.t array;
+  mutable in_flight : int;
+  mutable order_buckets : int;  (* see [retx_order] *)
   unit_acked : Bytes.t;
   stats : stats;
   mutable started : bool;
@@ -50,10 +50,9 @@ type t = {
   mutable next_offset : int;
   mutable next_seq : int;
   mutable low : int;
-      (* oldest-in-flight watermark: no seq below it is in [inflight].
+      (* oldest-in-flight watermark: no seq below it is in flight.
          Advanced lazily by [advance_low], so it may still name a seq
-         that has since left the table. *)
-  mutable bytes_in_flight : int;
+         that has since left the ring. *)
   mutable largest_acked : int;
   mutable recovery_until : int;  (* seqs below this do not trigger a new event *)
   mutable retx_queue : int list;  (* offsets to resend, oldest first *)
@@ -67,6 +66,15 @@ type t = {
      deadline, it is retransmitted (§2.2's fallback). *)
   provisional : (int, int * Time.t) Hashtbl.t;  (* seq -> (offset, deadline) *)
 }
+
+(* Ring slot states. *)
+let free = '\000'
+let fresh = '\001'
+let retx = '\002'
+
+(* Senders keep about two dozen packets in flight; the ring doubles
+   when the span outgrows it. *)
+let initial_capacity = 32
 
 let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     ?(max_ack_delay = Time.ms 25) ?(external_cc = false) ?cc
@@ -88,11 +96,11 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     total_units;
     egress;
     rtt = Rtt.create ();
-    (* The bucket count fixes [Hashtbl.iter]'s order, and that order is
-       the retransmission order whenever one ACK reveals two or more
-       losses ([detect_losses]). Every golden fixture depends on it:
-       resizing this table is a behaviour change. *)
-    inflight = Hashtbl.create 1024;
+    state = Bytes.make initial_capacity free;
+    offsets = Array.make initial_capacity 0;
+    sent_at = Array.make initial_capacity Time.zero;
+    in_flight = 0;
+    order_buckets = 1024;
     unit_acked = Bytes.make total_units '\000';
     stats =
       {
@@ -107,7 +115,6 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
     next_offset = 0;
     next_seq = 0;
     low = 0;
-    bytes_in_flight = 0;
     largest_acked = -1;
     recovery_until = 0;
     retx_queue = [];
@@ -120,7 +127,7 @@ let create engine ?(mss = 1460) ?(header = 40) ?(pkt_threshold = 3)
 
 let wire_size t = t.mss + t.header
 let cwnd t = max (t.cc.Cc.cwnd ()) (Cc.min_window ~mss:(wire_size t))
-let bytes_in_flight t = t.bytes_in_flight
+let bytes_in_flight t = t.in_flight * wire_size t
 let stats t = t.stats
 let srtt t = Rtt.srtt t.rtt
 let mss t = t.mss
@@ -146,29 +153,94 @@ let retx_push t offset = t.retx_queue_back <- offset :: t.retx_queue_back
 
 let retx_pending t = t.retx_queue <> [] || t.retx_queue_back <> []
 
+let slot t seq = seq land (Bytes.length t.state - 1)
+
+let is_in_flight t seq =
+  seq >= t.low && seq < t.next_seq && Bytes.get t.state (slot t seq) <> free
+
+let remove t seq =
+  Bytes.set t.state (slot t seq) free;
+  t.in_flight <- t.in_flight - 1
+
 (* Move [low] up to the oldest seq still in flight, or to [next_seq]
    when nothing is. Amortised O(1): [low] only rises and never passes
    [next_seq]. *)
 let advance_low t =
-  while t.low < t.next_seq && not (Hashtbl.mem t.inflight t.low) do
+  while t.low < t.next_seq && Bytes.get t.state (slot t t.low) = free do
     t.low <- t.low + 1
   done
 
+(* Make room for seq [next_seq] to join the span: when the span fills
+   the ring, advance [low], and if the ring is still full double it,
+   re-indexing [low, next_seq). One doubling suffices, as the span
+   grows by one seq per call. This must run before [next_seq] is
+   bumped: [advance_low] stops at [next_seq], and a bumped [next_seq]
+   would let it step past the new seq before that seq is live. *)
+let make_room t =
+  let cap = Bytes.length t.state in
+  if t.next_seq - t.low >= cap then advance_low t;
+  if t.next_seq - t.low >= cap then begin
+    let state = Bytes.make (2 * cap) free
+    and offsets = Array.make (2 * cap) 0
+    and sent_at = Array.make (2 * cap) Time.zero in
+    for seq = t.low to t.next_seq - 1 do
+      let o = slot t seq and n = seq land ((2 * cap) - 1) in
+      Bytes.set state n (Bytes.get t.state o);
+      offsets.(n) <- t.offsets.(o);
+      sent_at.(n) <- t.sent_at.(o)
+    done;
+    t.state <- state;
+    t.offsets <- offsets;
+    t.sent_at <- sent_at
+  end
+
+(* The twin counts live slots over the whole ring, not just the span,
+   so an entry stranded below [low] (where no ACK lookup reaches) is
+   caught too. *)
 let check_low t what =
   if Invariant.active () then
     Invariant.check ~name:("sender-inflight-low: " ^ what) (fun () ->
-        let first = ref max_int and first_sent = ref 0 and oldest = ref max_int in
-        Hashtbl.iter
-          (fun seq p ->
-            if seq < !first then begin
-              first := seq;
-              first_sent := p.sent_at
-            end;
-            oldest := min !oldest p.sent_at)
-          t.inflight;
         t.low <= t.next_seq
-        && t.low <= !first
-        && (!first = max_int || !first_sent = !oldest))
+        && t.next_seq - t.low <= Bytes.length t.state
+        &&
+        let live = ref 0 and in_span = ref 0 in
+        Bytes.iter (fun c -> if c <> free then incr live) t.state;
+        let first = ref (-1) and oldest = ref max_int in
+        for seq = t.low to t.next_seq - 1 do
+          if Bytes.get t.state (slot t seq) <> free then begin
+            incr in_span;
+            if !first < 0 then first := seq;
+            oldest := min !oldest t.sent_at.(slot t seq)
+          end
+        done;
+        !live = t.in_flight
+        && !in_span = t.in_flight
+        && (!first < 0 || t.sent_at.(slot t !first) = !oldest))
+
+(* [Hashtbl.hash seq] for any seq >= 0, derived explicitly: the
+   runtime's MurmurHash3 mix of the tagged word [2 seq + 1], folded to
+   32 bits, then the finaliser, cut to 30 bits. *)
+let seq_hash seq =
+  let u32 x = x land 0xFFFF_FFFF in
+  let rotl x n = u32 (x lsl n) lor (x lsr (32 - n)) in
+  let k = u32 ((seq lsr 31) lxor ((2 * seq) + 1)) in
+  let k = u32 (rotl (u32 (k * 0xcc9e2d51)) 15 * 0x1b873593) in
+  let h = u32 ((rotl k 13 * 5) + 0xe6546b64) in
+  let h = u32 ((h lxor (h lsr 16)) * 0x85ebca6b) in
+  let h = u32 ((h lxor (h lsr 13)) * 0xc2b2ae35) in
+  (h lxor (h lsr 16)) land 0x3FFF_FFFF
+
+(* The order in which one ACK's losses are re-queued, which every
+   golden fixture pins: the order an in-flight [Hashtbl.create 1024]
+   gave through [Hashtbl.iter] plus consing. That table put [seq] in
+   bucket [Hashtbl.hash seq land (buckets - 1)] and kept each bucket
+   newest first; iterating buckets upwards and consing reverses both,
+   so: bucket descending, then seq ascending. Its bucket count started
+   at 1,024 and doubled whenever more than twice that many packets were
+   in flight, never shrinking; [order_buckets] replays that rule. *)
+let retx_order t a b =
+  let bucket seq = seq_hash seq land (t.order_buckets - 1) in
+  match Int.compare (bucket b) (bucket a) with 0 -> Int.compare a b | c -> c
 
 (* Re-queue provisionally-acked units whose e2e confirmation never
    arrived. *)
@@ -203,8 +275,7 @@ let rec arm_pto t =
   Engine.schedule t.engine ~delay (fun () -> on_pto t gen)
 
 and on_pto t gen =
-  if gen = t.timer_gen
-     && (Hashtbl.length t.inflight > 0 || Hashtbl.length t.provisional > 0)
+  if gen = t.timer_gen && (t.in_flight > 0 || Hashtbl.length t.provisional > 0)
   then begin
     t.stats.timeouts <- t.stats.timeouts + 1;
     t.pto_count <- t.pto_count + 1;
@@ -212,16 +283,14 @@ and on_pto t gen =
        unit; persistent timeouts collapse the window. *)
     advance_low t;
     if t.low < t.next_seq then begin
-      let p = Hashtbl.find t.inflight t.low in
-      Hashtbl.remove t.inflight p.seq;
-      t.bytes_in_flight <- t.bytes_in_flight - p.size;
-      if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset
+      let offset = t.offsets.(slot t t.low) in
+      remove t t.low;
+      if Bytes.get t.unit_acked offset = '\000' then retx_push t offset
     end;
     if t.pto_count >= 2 && not t.external_cc then t.cc.Cc.on_timeout ();
     sweep_provisional t;
     try_send t;
-    if Hashtbl.length t.inflight > 0 || Hashtbl.length t.provisional > 0
-       || retx_pending t
+    if t.in_flight > 0 || Hashtbl.length t.provisional > 0 || retx_pending t
     then arm_pto t;
     check_low t "after PTO"
   end
@@ -229,14 +298,20 @@ and on_pto t gen =
 (* --- transmission -------------------------------------------------- *)
 
 and transmit t ~offset ~is_retx =
+  make_room t;
   let seq = t.next_seq in
-  t.next_seq <- seq + 1;
-  let id = Identifier.of_counter t.id_key ~bits:32 seq in
-  let size = wire_size t in
+  let s = slot t seq in
   let now = Engine.now t.engine in
-  let p = Frames.data_packet ~uid:seq ~flow:t.flow ~id ~seq ~size ~offset ~now in
-  Hashtbl.replace t.inflight seq { seq; offset; size; sent_at = now; is_retx };
-  t.bytes_in_flight <- t.bytes_in_flight + size;
+  Bytes.set t.state s (if is_retx then retx else fresh);
+  t.offsets.(s) <- offset;
+  t.sent_at.(s) <- now;
+  t.next_seq <- seq + 1;
+  t.in_flight <- t.in_flight + 1;
+  if t.in_flight > 2 * t.order_buckets then t.order_buckets <- 2 * t.order_buckets;
+  let id = Identifier.of_counter t.id_key ~bits:32 seq in
+  let p =
+    Frames.data_packet ~uid:seq ~flow:t.flow ~id ~seq ~size:(wire_size t) ~offset ~now
+  in
   t.stats.transmissions <- t.stats.transmissions + 1;
   if is_retx then t.stats.retransmissions <- t.stats.retransmissions + 1;
   t.on_transmit p;
@@ -246,7 +321,7 @@ and try_send t =
   let size = wire_size t in
   let continue = ref true in
   while !continue do
-    if t.bytes_in_flight + size > cwnd t then continue := false
+    if bytes_in_flight t + size > cwnd t then continue := false
     else begin
       match retx_pop t with
       | Some offset ->
@@ -281,8 +356,9 @@ let mark_unit_acked t offset =
    acked is lost once it is [pkt_threshold] packets behind, or once its
    age exceeds 9/8 of the RTT (the time threshold that makes endpoints
    tolerant of in-network reordering/refills). *)
-let is_lost t ~threshold ~now ~age_limit seq p =
-  seq < threshold || (seq < t.largest_acked && Time.diff now p.sent_at > age_limit)
+let is_lost t ~threshold ~now ~age_limit seq =
+  seq < threshold
+  || (seq < t.largest_acked && Time.diff now t.sent_at.(slot t seq) > age_limit)
 
 let detect_losses t =
   if t.largest_acked >= 0 then begin
@@ -297,22 +373,23 @@ let detect_losses t =
        [sent_at] in flight, so if it passes neither test no entry does:
        the scan runs only when at least one packet is lost. *)
     advance_low t;
-    if
-      t.low < t.next_seq
-      && is_lost t ~threshold ~now ~age_limit t.low (Hashtbl.find t.inflight t.low)
-    then begin
+    if t.low < t.next_seq && is_lost t ~threshold ~now ~age_limit t.low then begin
       let lost = ref [] in
-      Hashtbl.iter
-        (fun seq p -> if is_lost t ~threshold ~now ~age_limit seq p then lost := p :: !lost)
-        t.inflight;
+      for seq = t.next_seq - 1 downto t.low do
+        if is_in_flight t seq && is_lost t ~threshold ~now ~age_limit seq then
+          lost := seq :: !lost
+      done;
+      let lost =
+        match !lost with _ :: _ :: _ as l -> List.sort (retx_order t) l | l -> l
+      in
       let new_event = ref false in
       List.iter
-        (fun p ->
-          Hashtbl.remove t.inflight p.seq;
-          t.bytes_in_flight <- t.bytes_in_flight - p.size;
-          if Bytes.get t.unit_acked p.offset = '\000' then retx_push t p.offset;
-          if p.seq >= t.recovery_until then new_event := true)
-        !lost;
+        (fun seq ->
+          let offset = t.offsets.(slot t seq) in
+          remove t seq;
+          if Bytes.get t.unit_acked offset = '\000' then retx_push t offset;
+          if seq >= t.recovery_until then new_event := true)
+        lost;
       if !new_event then begin
         t.recovery_until <- t.next_seq;
         t.stats.congestion_events <- t.stats.congestion_events + 1;
@@ -339,15 +416,15 @@ let deliver_ack t (p : Packet.t) =
       List.iter
         (fun (lo, hi) ->
           for seq = max lo t.low to min hi (t.next_seq - 1) do
-            match Hashtbl.find_opt t.inflight seq with
-            | Some fl ->
-                Hashtbl.remove t.inflight seq;
-                t.bytes_in_flight <- t.bytes_in_flight - fl.size;
-                newly_acked := !newly_acked + fl.size;
-                mark_unit_acked t fl.offset;
-                if seq = largest && not fl.is_retx then
-                  rtt_sample := Some (Time.diff now fl.sent_at)
-            | None -> ()
+            let s = slot t seq in
+            let st = Bytes.get t.state s in
+            if st <> free then begin
+              remove t seq;
+              newly_acked := !newly_acked + wire_size t;
+              mark_unit_acked t t.offsets.(s);
+              if seq = largest && st = fresh then
+                rtt_sample := Some (Time.diff now t.sent_at.(s))
+            end
           done)
         ranges;
       (* Provisionally-released packets (freed by a sidecar quACK) are
@@ -375,8 +452,7 @@ let deliver_ack t (p : Packet.t) =
       end;
       detect_losses t;
       try_send t;
-      if Hashtbl.length t.inflight > 0 || Hashtbl.length t.provisional > 0
-         || retx_pending t
+      if t.in_flight > 0 || Hashtbl.length t.provisional > 0 || retx_pending t
       then arm_pto t
       else t.timer_gen <- t.timer_gen + 1 (* cancel timer *);
       check_low t "after ACK"
@@ -393,13 +469,12 @@ let sidecar_ack t ~seqs =
   let freed = ref 0 in
   List.iter
     (fun seq ->
-      match Hashtbl.find_opt t.inflight seq with
-      | Some fl ->
-          Hashtbl.remove t.inflight fl.seq;
-          t.bytes_in_flight <- t.bytes_in_flight - fl.size;
-          freed := !freed + fl.size;
-          Hashtbl.replace t.provisional fl.seq (fl.offset, Time.add now grace)
-      | None -> ())
+      if is_in_flight t seq then begin
+        let offset = t.offsets.(slot t seq) in
+        remove t seq;
+        freed := !freed + wire_size t;
+        Hashtbl.replace t.provisional seq (offset, Time.add now grace)
+      end)
     seqs;
   if !freed > 0 then try_send t;
   !freed
@@ -409,7 +484,7 @@ let make_available t n =
     t.available <- min n t.total_units;
     if t.started then begin
       try_send t;
-      if Hashtbl.length t.inflight > 0 || retx_pending t then arm_pto t
+      if t.in_flight > 0 || retx_pending t then arm_pto t
     end
   end
 

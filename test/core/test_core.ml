@@ -1342,6 +1342,135 @@ let test_replay_guard_depth_eviction () =
   check bool "evicted replay degrades to restart" true
     (Replay_guard.classify g ~index:1 (nth quacks 0) = Replay_guard.Regression)
 
+(* The guard as it was when it remembered SHA-256 digests instead of
+   contents, kept here only as the oracle: the guard must reach the
+   same verdicts and counts on any stream. *)
+module Digest_guard = struct
+  type t = {
+    depth : int;
+    ring : (int * string) array;
+    mutable pos : int;
+    mutable last_index : int;
+    mutable replays : int;
+    mutable regressions : int;
+    mutable accepted : int;
+  }
+
+  let create ~depth =
+    { depth; ring = Array.make depth (-1, ""); pos = 0; last_index = 0;
+      replays = 0; regressions = 0; accepted = 0 }
+
+  let digest (q : Quack.t) =
+    Sidecar_hash.Sha256.digest_int_list
+      (q.Quack.bits :: q.Quack.count_bits :: q.Quack.count :: Array.to_list q.Quack.sums)
+
+  let classify t ~index q =
+    let d = digest q in
+    let accept () =
+      t.last_index <- index;
+      t.accepted <- t.accepted + 1;
+      t.ring.(t.pos) <- (index, d);
+      t.pos <- (t.pos + 1) mod t.depth
+    in
+    if index > t.last_index then (accept (); Replay_guard.Fresh)
+    else if Array.exists (fun (i, h) -> i = index && String.equal h d) t.ring then begin
+      t.replays <- t.replays + 1;
+      Replay_guard.Replay
+    end
+    else begin
+      t.regressions <- t.regressions + 1;
+      accept ();
+      Replay_guard.Regression
+    end
+end
+
+(* A quACK drawn from a seed, over small value ranges so that distinct
+   draws often share some fields. *)
+let random_quack seed : Quack.t =
+  let st = Random.State.make [| seed |] in
+  let pick a = a.(Random.State.int st (Array.length a)) in
+  {
+    Quack.bits = pick [| 16; 24; 32 |];
+    modulus = pick [| 65521; 4294967291 |];
+    count_bits = pick [| 0; 16; 62 |];
+    count = Random.State.int st 4;
+    sums = Array.init (1 + Random.State.int st 3) (fun _ -> Random.State.int st 4);
+  }
+
+(* One field changed: a sum, the count, count_bits, bits or (which the
+   guard must ignore) the modulus. *)
+let near_miss (q : Quack.t) which : Quack.t =
+  match which mod 5 with
+  | 0 ->
+      let sums = Array.copy q.Quack.sums in
+      let i = which / 5 mod Array.length sums in
+      sums.(i) <- sums.(i) + 1;
+      { q with Quack.sums }
+  | 1 -> { q with Quack.count = q.Quack.count + 1 }
+  | 2 -> { q with Quack.count_bits = q.Quack.count_bits + 1 }
+  | 3 -> { q with Quack.bits = q.Quack.bits + 1 }
+  | _ -> { q with Quack.modulus = q.Quack.modulus + 2 }
+
+let qcheck_replay_guard =
+  let open QCheck in
+  [
+    (* Streams mix fresh emissions, verbatim replays (recent, and older
+       than the guard's depth), regressions with novel contents, and
+       near misses of a past emission. Every array handed to the guard
+       is scribbled over right after, as a caller reusing its buffer
+       would, so a guard that kept the caller's sums would diverge. *)
+    Test.make ~name:"verdicts and counters = digest guard" ~count:300
+      (make
+         ~print:Print.(pair int (list (quad int int int int)))
+         Gen.(
+           pair (int_range 1 6)
+             (list_size (int_range 1 60)
+                (quad (int_bound 5) (int_bound 1000) (int_bound 1000) (int_bound 1000)))))
+      (fun (depth, ops) ->
+        let g = Replay_guard.create ~depth () in
+        let oracle = Digest_guard.create ~depth in
+        let history = ref [||] in
+        let last = ref 0 in
+        let past a = !history.(a mod Array.length !history) in
+        List.for_all
+          (fun (kind, a, b, c) ->
+            let index, q =
+              match kind with
+              | (1 | 2) when Array.length !history > 0 ->
+                  (* verbatim replay: the most recent emissions or any *)
+                  let n = Array.length !history in
+                  if kind = 1 then !history.(n - 1 - (a mod min n 3)) else past a
+              | 3 when Array.length !history > 0 ->
+                  let index, q = past a in
+                  (index, near_miss q b)
+              | 4 -> (a mod (!last + 1), random_quack ((b * 1001) + c))
+              | _ -> (!last + 1 + (a mod 3), random_quack ((b * 1001) + c))
+            in
+            history := Array.append !history [| (index, q) |];
+            let handed = { q with Quack.sums = Array.copy q.Quack.sums } in
+            let v = Replay_guard.classify g ~index handed in
+            Array.fill handed.Quack.sums 0 (Array.length handed.Quack.sums) (-7);
+            let w = Digest_guard.classify oracle ~index q in
+            last := oracle.Digest_guard.last_index;
+            v = w
+            && Replay_guard.last_index g = oracle.Digest_guard.last_index
+            && Replay_guard.replays g = oracle.Digest_guard.replays
+            && Replay_guard.regressions g = oracle.Digest_guard.regressions
+            && Replay_guard.accepted g = oracle.Digest_guard.accepted)
+          ops);
+  ]
+
+let test_replay_guard_keeps_its_own_copy () =
+  let g = Replay_guard.create () in
+  let q = quack_of_ids (ids_of_range key ~bits:32 0 5) in
+  let original = { q with Quack.sums = Array.copy q.Quack.sums } in
+  ignore (Replay_guard.classify g ~index:1 q);
+  q.Quack.sums.(0) <- q.Quack.sums.(0) + 1;
+  check bool "mutated caller array is not a replay" true
+    (Replay_guard.classify g ~index:1 q = Replay_guard.Regression);
+  check bool "the accepted contents still are" true
+    (Replay_guard.classify g ~index:1 original = Replay_guard.Replay)
+
 (* ------------------------------------------------------------------ *)
 (* IBF capacity characterisation                                       *)
 
@@ -1572,7 +1701,10 @@ let () =
             test_replay_guard_one_packet_cannot_resync;
           Alcotest.test_case "depth eviction degrades safely" `Quick
             test_replay_guard_depth_eviction;
-        ] );
+          Alcotest.test_case "caller's sums may change after classify" `Quick
+            test_replay_guard_keeps_its_own_copy;
+        ]
+        @ q qcheck_replay_guard );
       ( "ibf-capacity",
         [ Alcotest.test_case "hint mostly decodes" `Quick test_ibf_capacity_hint_mostly_decodes ] );
       ( "invariant",

@@ -146,17 +146,21 @@ let test_golden_sweep_jobs_invariant () =
 
 let test_service_affinity () =
   (* init runs in the owning worker's domain, the state persists
-     across rounds, and only worker i ever touches state i *)
+     across rounds, and only worker i ever touches state i. Workers
+     only report the domain they ran on; every check runs here, on the
+     calling domain, because Alcotest is not domain-safe. *)
   Exec.Service.with_service ~workers:3
     ~init:(fun i -> ((Domain.self () :> int), ref (100 * i)))
     (fun svc ->
       check int "worker count" 3 (Exec.Service.workers svc);
       let homes =
-        Exec.Service.round svc ~f:(fun i (home, cell) ->
-            check int "round runs on the init domain" home
-              ((Domain.self () :> int));
-            cell := !cell + i;
+        List.map
+          (fun (home, ran_on) ->
+            check int "round runs on the init domain" home ran_on;
             home)
+          (Exec.Service.round svc ~f:(fun i (home, cell) ->
+               cell := !cell + i;
+               (home, (Domain.self () :> int))))
       in
       check int "three distinct worker domains" 3
         (List.length (List.sort_uniq compare homes));

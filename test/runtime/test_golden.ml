@@ -5,9 +5,11 @@
    per-flow field, exact integers, floats as hex ([%h]), and the
    wall-clock [proxy_busy_s] zeroed. Default config at 200 flows:
    cc@64, cc@4 and retx@24 are the repo benchmark's sidecar_* inputs,
-   ack@24 covers the third protocol; each at scenario seeds 1 and 113.
-   Seed 113 at CC/table 4 is the known wedge (199 of 200 flows
-   complete); it is pinned as it is.
+   ack@24 covers the third protocol; each at scenario seeds 1, 113 and
+   42. Seed 113 at CC/table 4 is the known wedge (199 of 200 flows
+   complete); it is pinned as it is. Seed 42 is there because ack@24
+   at that seed catches a sender that strands an in-flight packet below
+   its oldest-in-flight watermark, which the other two seeds do not.
 
    A change to the simulator substrate (engine, event heap, links,
    transport) that reorders fired events or retransmissions shows up
@@ -25,7 +27,7 @@ let configs =
     (fun seed ->
       [ ("cc", `Cc, 64, seed); ("cc", `Cc, 4, seed); ("retx", `Retx, 24, seed);
         ("ack", `Ack, 24, seed) ])
-    [ 1; 113 ]
+    [ 1; 113; 42 ]
 
 let name (proto, _, table, seed) = Printf.sprintf "%s_t%d_s%d" proto table seed
 

@@ -693,11 +693,13 @@ let test_sender_streaming_availability () =
   Sender.make_available sender 100;
   check int "clamped to total" 10 !sent
 
-(* One ACK that reveals many losses at once. The loss scan walks the
-   in-flight hashtable, so its bucket order (fixed by the table's
-   initial size) decides the order of the retransmissions, and with it
-   every report downstream. This pins that order: a rewrite of the
-   sender's bookkeeping must reproduce it exactly. *)
+(* One ACK that reveals many losses at once. They are re-queued in the
+   order the sender's former in-flight [Hashtbl.create 1024] gave them
+   (bucket descending, then seq ascending; see [retx_order] in
+   sender.ml),
+   and that order reaches every report downstream. This pins one
+   instance observed on the table itself; the property below checks
+   the order against a real table over random histories. *)
 let test_sender_multi_loss_retx_order () =
   let e = Netsim.Engine.create () in
   let sent = ref [] in
@@ -728,6 +730,154 @@ let test_sender_multi_loss_retx_order () =
   check int "retransmissions counted" 13 (Sender.stats sender).Sender.retransmissions;
   check (Alcotest.list int) "then new data" [ 20; 21; 22; 23 ]
     (List.filter (fun o -> o >= 20) after)
+
+(* Random sender histories against a shadow of the in-flight set kept
+   in a real [Hashtbl.create 1024], filled and emptied as the old
+   sender's table was. Ops are new data, ACKs with random ranges,
+   [sidecar_ack]s, each after a random delay, and whatever PTOs fire
+   in between; the window is so large that every re-queued unit goes
+   out within the event that queued it. After each event the shadow
+   drops what the event itself removed (acked or sidecar-acked seqs,
+   the oldest seq on a PTO) and reads the losses off the event's
+   retransmissions: a resent unit still in flight in the shadow was
+   declared lost. Their order must be the table's iter-plus-cons
+   order, and the shadow must hold exactly [bytes_in_flight]. Some
+   histories put more than 2,048 packets in flight, past the table's
+   first resize. *)
+type sender_op = Send of int | Ack of (int * int) list | Sidecar of (int * int) list
+
+let qcheck_sender_loss_order =
+  let open QCheck in
+  let op =
+    Gen.(
+      frequency
+        [
+          (4, map (fun n -> Send n) (int_range 1 40));
+          (1, map (fun n -> Send n) (int_range 400 2600));
+          ( 6,
+            map (fun r -> Ack r)
+              (list_size (int_range 1 4) (pair (int_bound 1000) (int_bound 200))) );
+          ( 1,
+            map (fun r -> Sidecar r)
+              (list_size (int_range 1 3) (pair (int_bound 1000) (int_bound 60))) );
+        ])
+  in
+  let delay_ms =
+    Gen.(frequency [ (6, int_bound 20); (2, int_range 20 300); (1, int_range 300 3000) ])
+  in
+  let print_op = function
+    | Send n -> Printf.sprintf "Send %d" n
+    | Ack r -> "Ack " ^ Print.(list (pair int int)) r
+    | Sidecar r -> "Sidecar " ^ Print.(list (pair int int)) r
+  in
+  [
+    Test.make ~name:"multi-loss re-queue order = Hashtbl.create 1024 iter order"
+      ~count:150
+      (make
+         ~print:Print.(list (pair int print_op))
+         Gen.(list_size (int_range 1 40) (pair delay_ms op)))
+      (fun ops ->
+        let total_units = 8000 in
+        let e = Netsim.Engine.create () in
+        let burst = ref [] in
+        let sender =
+          Sender.create e ~cc:(Cc.fixed ~cwnd_bytes:(1 lsl 40)) ~initially_available:0
+            ~total_units
+            ~egress:(fun p ->
+              match p.Netsim.Packet.payload with
+              | Frames.Data { offset } -> burst := (p.Netsim.Packet.seq, offset) :: !burst
+              | _ -> ())
+            ()
+        in
+        Sender.start sender;
+        let shadow : (int, int) Hashtbl.t = Hashtbl.create 1024 in
+        let seq_of_unit = Array.make total_units (-1) in
+        let sent = ref 0 and frontier = ref 0 and available = ref 0 in
+        let drop seq =
+          match Hashtbl.find_opt shadow seq with
+          | Some u ->
+              Hashtbl.remove shadow seq;
+              seq_of_unit.(u) <- -1
+          | None -> ()
+        in
+        let at n permille = min (n - 1) (permille * n / 1000) in
+        let ranges n = List.map (fun (p, w) -> (at n p, min (n - 1) (at n p + w))) in
+        let seqs_of (lo, hi) = List.init (hi - lo + 1) (( + ) lo) in
+        let covered ranges =
+          List.filter (Hashtbl.mem shadow) (List.concat_map seqs_of ranges)
+        in
+        (* What one fired event did, once it has run. *)
+        let reconcile removed =
+          List.iter drop removed;
+          let out = List.rev !burst in
+          burst := [];
+          let lost =
+            List.filter_map
+              (fun (_, u) ->
+                if u < !frontier && seq_of_unit.(u) >= 0 then Some seq_of_unit.(u) else None)
+              out
+          in
+          let is_lost = Hashtbl.create 16 in
+          List.iter (fun seq -> Hashtbl.replace is_lost seq ()) lost;
+          let order = ref [] in
+          Hashtbl.iter
+            (fun seq _ -> if Hashtbl.mem is_lost seq then order := seq :: !order)
+            shadow;
+          List.iter drop lost;
+          List.iter
+            (fun (seq, u) ->
+              Hashtbl.replace shadow seq u;
+              seq_of_unit.(u) <- seq;
+              frontier := max !frontier (u + 1);
+              sent := seq + 1)
+            out;
+          !order = lost
+          && Sender.bytes_in_flight sender = Hashtbl.length shadow * Sender.wire_size sender
+        in
+        List.for_all
+          (fun (d, op) ->
+            let ran = ref None in
+            Netsim.Engine.schedule e ~delay:(Time.ms d) (fun () ->
+                let n = !sent in
+                ran :=
+                  Some
+                    (match op with
+                    | Send k ->
+                        available := !available + k;
+                        Sender.make_available sender !available;
+                        []
+                    | Ack _ | Sidecar _ when n = 0 -> []
+                    | Ack r ->
+                        let ranges = ranges n r in
+                        let largest = List.fold_left (fun m (_, hi) -> max m hi) 0 ranges in
+                        Sender.deliver_ack sender
+                          (Frames.ack_packet ~uid:0 ~flow:0 ~id:0 ~seq:0 ~size:40 ~largest
+                             ~ranges ~acked_units:0 ~now:(Netsim.Engine.now e));
+                        covered ranges
+                    | Sidecar r ->
+                        (* sidecar quACKs free whole runs, as ack reduction's do *)
+                        let ranges = ranges n r in
+                        let seqs = List.concat_map seqs_of ranges in
+                        ignore (Sender.sidecar_ack sender ~seqs);
+                        covered ranges));
+            let ok = ref true in
+            while !ok && !ran = None do
+              let timeouts = (Sender.stats sender).Sender.timeouts in
+              Netsim.Engine.run ~max_events:1 e;
+              let removed =
+                match !ran with
+                | Some removed -> removed
+                | None when (Sender.stats sender).Sender.timeouts > timeouts ->
+                    (* a PTO declares the oldest in-flight packet lost *)
+                    let oldest = Hashtbl.fold (fun seq _ m -> min seq m) shadow max_int in
+                    if oldest = max_int then [] else [ oldest ]
+                | None -> []
+              in
+              ok := reconcile removed
+            done;
+            !ok)
+          ops);
+  ]
 
 (* The sender-inflight-low contract's runtime twin runs after every ACK
    and PTO once the debug gate is on; a lossy flow exercises both, plus
@@ -803,7 +953,8 @@ let () =
           Alcotest.test_case "multi-loss retransmission order" `Quick
             test_sender_multi_loss_retx_order;
           Alcotest.test_case "inflight-low twin fires" `Quick test_sender_low_twin_fires;
-        ] );
+        ]
+        @ List.map QCheck_alcotest.to_alcotest qcheck_sender_loss_order );
       ( "sealed",
         [
           Alcotest.test_case "flow over ciphertext" `Quick test_sealed_flow_completes;
