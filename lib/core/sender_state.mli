@@ -19,7 +19,12 @@
       caller to reset;
     - {b wrap-around counts} via [count_bits]-bit arithmetic;
     - {b dropped / re-ordered quACKs}: stale quACKs (receiver count
-      behind what we already processed) are detected and skipped. *)
+      behind what we already processed) are detected and skipped.
+
+    Runtime code does not call {!on_quack} or {!resync_to} itself: it
+    consumes quACKs through {!Quack_consumer}, which applies the §3.3
+    "decode, else resync" rule in one place (sidelint's
+    [quack-consumer] rule keeps it that way outside [lib/core]). *)
 
 type config = {
   bits : int;  (** identifier width [b] *)
@@ -56,8 +61,15 @@ type 'meta report = {
           cannot tell which (§3.2) *)
   in_flight : int;  (** trailing log entries treated as in transit *)
   unresolved : int;
-      (** decoded roots matching no logged candidate; when non-zero
-          the sender conservatively prunes nothing *)
+      (** decoded roots matching no logged candidate: the receiver's
+          sums hold identifiers this sender never logged (for example
+          packets forwarded unlogged around a resync), so the missing
+          set cannot be attributed. When non-zero the sender
+          conservatively prunes nothing, and {!Quack_consumer} passes
+          the report on as a [Decoded] with empty lists, i.e. "no
+          news". A flow whose every decode comes back unresolved
+          therefore never frees window; ROADMAP item 1 traces stranded
+          flows to this policy, which lives in the consumer. *)
   stale : bool;  (** quACK was older than one already processed *)
 }
 

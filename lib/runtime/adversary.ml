@@ -3,7 +3,6 @@ module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Rng = Netsim.Rng
-module Stats = Netsim.Stats
 module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
@@ -101,24 +100,29 @@ let auth_key seed =
   Sidecar_hash.Sha256.digest_string (Printf.sprintf "quack-auth-key-%d" seed)
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Adversary.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Adversary.run: bad unit bounds";
   if not (cfg.attack_rate >= 0. && cfg.attack_rate <= 1.) then
     invalid_arg "Adversary.run: attack rate outside [0, 1]";
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
-  let n = cfg.flows in
+  let path = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
+  let { Path.engine; fwd; rev } = path in
   let key = auth_key cfg.seed in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
+  (* Unauthenticated, the server runs the pre-guard seam below: its
+     consumers are unguarded. *)
+  let pop =
+    Population.create ~name:"Adversary" path ~flows:cfg.flows
+      ~sizes:(Population.Sampled cfg.size_dist) ~min_units:cfg.min_units
+      ~max_units:cfg.max_units ~arrival:cfg.arrival ~mss:cfg.mss
+      ~id_key_base:0x51DE
+      ~sketch:
+        {
+          Q.Sender_state.default_config with
+          bits = cfg.bits;
+          threshold = cfg.threshold;
+          count_bits = cfg.count_bits;
+        }
+      ~sidecar:(if cfg.auth then Population.Guarded else Population.Unguarded)
+      ~client:None
+      ~ack_link:(fun _ -> rev.(0))
+      ()
   in
 
   (* ---- the quACK-emitting sidecar at the junction ----------------- *)
@@ -140,7 +144,7 @@ let run (cfg : config) =
      attacker replaying bytes the server never received is
      indistinguishable from (and no worse than) network delay, so it
      is not an admitted attack; fabricated or tampered sums are. *)
-  let emitted = Array.init n (fun _ -> Hashtbl.create 64) in
+  let emitted = Array.init cfg.flows (fun _ -> Hashtbl.create 64) in
   (* The proxy's return traffic: quACK frames leave as sealed wire
      bytes + detached tag (what actually travels, and what the
      adversary gets to attack); everything else passes through. *)
@@ -169,93 +173,44 @@ let run (cfg : config) =
       ~backward:seal_backward ()
   in
 
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-          ())
-  in
-
   (* ---- server-side quACK consumption ------------------------------ *)
-  let srv_resyncs = ref 0 in
   let attacker_admitted = ref 0 in
   let attacker_resyncs = ref 0 in
   let auth_rejected = ref 0 in
   let malformed = ref 0 in
-  let guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   (* legacy high-water marks for the unauthenticated arm *)
-  let last_index = Array.make n 0 in
+  let last_index = Array.make cfg.flows 0 in
   (* [foreign] = the quACK's contents were never emitted by the
      sidecar (fabricated or tampered sums — the integrity violation
      [attacker_admitted] counts); [hostile] = the packet was delivered
      by the adversary (replayed genuine bytes included — what
-     [attacker_resyncs] attributes). *)
-  let apply_fresh i quack ~foreign ~hostile =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale ->
-        if foreign then incr attacker_admitted;
-        (match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        (* the §3.3 escape hatch — which an attacker's garbage sums
-           reach almost surely, so without authentication this seam
-           adopts the forgery as the new baseline *)
-        incr srv_resyncs;
+     [attacker_resyncs] attributes). A §3.3 resync is the escape hatch
+     an attacker's garbage sums reach almost surely, so without
+     authentication the server adopts the forgery as its baseline. *)
+  let attribute ~foreign ~hostile = function
+    | Q.Quack_consumer.Decoded _ -> if foreign then incr attacker_admitted
+    | Q.Quack_consumer.(Resynced _ | Restarted _) ->
         if hostile then incr attacker_resyncs;
-        if foreign then incr attacker_admitted;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
+        if foreign then incr attacker_admitted
+    | Q.Quack_consumer.(Stale | Replay | Mismatch) -> ()
   in
-  let on_sealed_unauth i ~index ~foreign ~hostile quack =
-    if index <= last_index.(i) then begin
-      (* the pre-guard seam: any regressed index is read as a restart
-         and its sums adopted wholesale — replayed AND forged quACKs
-         both walk straight in *)
-      incr srv_resyncs;
-      if hostile then incr attacker_resyncs;
-      if foreign then incr attacker_admitted;
-      ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    end
-    else apply_fresh i quack ~foreign ~hostile;
-    last_index.(i) <- index
-  in
-  let on_sealed_auth i ~index ~foreign ~hostile quack =
-    match Q.Replay_guard.classify guards.(i) ~index quack with
-    | Q.Replay_guard.Replay -> ()
-    | Q.Replay_guard.Fresh -> apply_fresh i quack ~foreign ~hostile
-    | Q.Replay_guard.Regression ->
-        incr srv_resyncs;
-        if hostile then incr attacker_resyncs;
-        if foreign then incr attacker_admitted;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
+  let on_sealed_unauth i ~index quack =
+    let outcome =
+      if index <= last_index.(i) then
+        (* the pre-guard seam: any regressed index is read as a restart
+           and its sums adopted wholesale — replayed AND forged quACKs
+           both walk straight in *)
+        Q.Quack_consumer.resync (Population.consumer pop i) quack
+      else Population.consume pop i quack
+    in
+    last_index.(i) <- index;
+    outcome
   in
   let on_sealed i ~index ~origin ~tag ~wire =
     if cfg.auth && not (Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire) then
       (* forged, truncated and bit-flipped quACKs all die here — the
          verifier's expected tag length is its own, so the old
-         short-tag forgery (this PR's bugfix) is closed too *)
+         short-tag forgery is closed too *)
       incr auth_rejected
     else
       match Q.Wire.decode_framed wire with
@@ -271,25 +226,23 @@ let run (cfg : config) =
       | Ok quack ->
           let hostile = origin <> Adv.Proxy in
           let foreign = hostile && not (Hashtbl.mem emitted.(i) wire) in
-          if cfg.auth then on_sealed_auth i ~index ~foreign ~hostile quack
-          else on_sealed_unauth i ~index ~foreign ~hostile quack
+          attribute ~foreign ~hostile
+            (if cfg.auth then Population.consume pop i ~index quack
+             else on_sealed_unauth i ~index quack)
   in
 
   (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  Link.set_tap fwd.(1) (fun p -> delivered_bytes := !delivered_bytes + p.Packet.size);
+  Population.attach_clients pop [ fwd.(1) ];
   Link.set_deliver fwd.(0) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then Proxy.on_ingress proxy p);
-  Link.set_deliver fwd.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
-        Transport.Receiver.deliver receivers.(p.Packet.flow) p);
+      if p.Packet.flow >= 0 && p.Packet.flow < cfg.flows then
+        Proxy.on_ingress proxy p);
   Link.set_deliver rev.(0) (Proxy.on_return proxy);
-  let deliver_server p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      match p.Packet.payload with
+  let deliver_server =
+    Population.server_demux pop (fun i -> function
       | Adv.Sealed { wire; tag; index; origin } ->
-          on_sealed p.Packet.flow ~index ~origin ~tag ~wire
-      | _ -> Transport.Sender.deliver_ack senders.(p.Packet.flow) p
+          on_sealed i ~index ~origin ~tag ~wire;
+          true
+      | _ -> false)
   in
   let adv =
     Adv.create ~replay_delay:cfg.replay_delay ~engine
@@ -300,51 +253,22 @@ let run (cfg : config) =
   Link.set_deliver rev.(1) (Adv.on_path adv);
 
   (* ---- run ---------------------------------------------------------- *)
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
-  let rec reap i () =
-    if flow_done i then ignore (Proxy.release proxy i)
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
+  Population.start pop ~period:(Time.ms 500) ~on_start:ignore ~on_tick:ignore
+    ~proxies:[ proxy ] ~until:cfg.until;
   Engine.run ~until:cfg.until engine;
 
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let spurious = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    spurious := !spurious + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  let sum = Population.summary pop in
   {
     auth = cfg.auth;
     attack_rate = cfg.attack_rate;
-    flows = n;
-    completed = !completed;
-    wedged = n - !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    flows = cfg.flows;
+    completed = sum.Population.completed;
+    wedged = cfg.flows - sum.Population.completed;
+    fct_p50 = sum.Population.fct_p50;
+    fct_p95 = sum.Population.fct_p95;
+    fct_p99 = sum.Population.fct_p99;
+    fct_mean = sum.Population.fct_mean;
+    data_delivered_bytes = sum.Population.data_delivered_bytes;
     proxy = Proxy.stats proxy;
     quacks_sealed = !quacks_sealed;
     auth_bytes_overhead = Q.Wire.auth_overhead * !quacks_sealed;
@@ -352,13 +276,12 @@ let run (cfg : config) =
     attacker_admitted = !attacker_admitted;
     attacker_resyncs = !attacker_resyncs;
     auth_rejected = !auth_rejected;
-    replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards;
+    replays_dropped = sum.Population.srv_replays;
     malformed = !malformed;
-    srv_resyncs = !srv_resyncs;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    spurious_retx = !spurious;
+    srv_resyncs = sum.Population.srv_resyncs;
+    retransmissions = sum.Population.retransmissions;
+    timeouts = sum.Population.timeouts;
+    spurious_retx = sum.Population.duplicates;
     sim_end = Engine.now engine;
   }
 

@@ -2,8 +2,6 @@ module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
 module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
@@ -87,9 +85,6 @@ type report = {
 }
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Handover.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Handover.run: bad unit bounds";
   if cfg.migrate_after <= 0 then
     invalid_arg "Handover.run: migrate_after must be positive";
   if cfg.ctrl_delay < 0 then
@@ -98,20 +93,26 @@ let run (cfg : config) =
      plus the two parallel far branches. [Path.build] returns the
      return links receiver-side first, so rev.(0)/rev.(1) are the far
      B/A client-side links and rev.(2) is the junction-server link. *)
-  let { Path.engine; fwd; rev } =
-    Path.build ~seed:cfg.seed [ cfg.near; cfg.far_a; cfg.far_b ]
-  in
-  let n = cfg.flows in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
+  let path = Path.build ~seed:cfg.seed [ cfg.near; cfg.far_a; cfg.far_b ] in
+  let { Path.engine; fwd; rev } = path in
+  (* sized before Population.create validates [flows] *)
+  let on_a = Array.make (max 0 cfg.flows) true in
+  let pop =
+    Population.create ~name:"Handover" path ~flows:cfg.flows
+      ~sizes:(Population.Sampled cfg.size_dist) ~min_units:cfg.min_units
+      ~max_units:cfg.max_units ~arrival:cfg.arrival ~mss:cfg.mss
+      ~id_key_base:0x51DE
+      ~sketch:
+        {
+          Q.Sender_state.default_config with
+          bits = cfg.bits;
+          threshold = cfg.threshold;
+          count_bits = cfg.count_bits;
+        }
+      ~sidecar:Population.Guarded ~client:None
+        (* end-to-end ACKs ride the flow's current path *)
+      ~ack_link:(fun i -> if on_a.(i) then rev.(1) else rev.(0))
+      ()
   in
 
   (* ---- the two sidecars ------------------------------------------- *)
@@ -141,104 +142,32 @@ let run (cfg : config) =
     mk_proxy ~protocol:proto_b ~forward:(fun p -> ignore (Link.send fwd.(2) p))
   in
 
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let srv_resyncs = ref 0 in
-  let on_a = Array.make n true in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p ->
-            (* end-to-end ACKs ride the flow's current path *)
-            ignore (Link.send (if on_a.(i) then rev.(1) else rev.(0)) p))
-          ())
-  in
-
-  (* ---- server sidecar: quACKs -> provisional window credit -------- *)
-  let srv_guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
-  let on_srv_report i quack =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale -> (
-        match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
-  in
-  let on_server_quack i ~index quack =
-    match Q.Replay_guard.classify srv_guards.(i) ~index quack with
-    | Q.Replay_guard.Fresh -> on_srv_report i quack
-    | Q.Replay_guard.Replay ->
-        (* byte-identical re-delivery of an already-consumed emission:
-           dropped, counted — never a resync trigger *)
-        ()
-    | Q.Replay_guard.Regression ->
-        (* A regressed emission index with novel contents means the
-           emitting sidecar's state restarted — under [Resync] that is
-           sidecar B's first fresh quACK after the handover (§3.3:
-           adopt its sums as baseline). *)
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-  in
-
   (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  let count_delivered p =
-    delivered_bytes := !delivered_bytes + p.Packet.size
-  in
-  Link.set_tap fwd.(1) count_delivered;
-  Link.set_tap fwd.(2) count_delivered;
+  Population.attach_clients pop [ fwd.(1); fwd.(2) ];
   (* junction: route by the flow's current path assignment *)
   Link.set_deliver fwd.(0) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
+      if p.Packet.flow >= 0 && p.Packet.flow < cfg.flows then
         if on_a.(p.Packet.flow) then Proxy.on_ingress proxy_a p
         else Proxy.on_ingress proxy_b p);
-  let deliver_client p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      Transport.Receiver.deliver receivers.(p.Packet.flow) p
-  in
-  Link.set_deliver fwd.(1) deliver_client;
-  Link.set_deliver fwd.(2) deliver_client;
   Link.set_deliver rev.(1) (Proxy.on_return proxy_a);
   Link.set_deliver rev.(0) (Proxy.on_return proxy_b);
-  Link.set_deliver rev.(2) (fun p ->
-      match p.Packet.payload with
+  (* Server sidecar: quACKs -> provisional window credit. Under
+     [Resync], sidecar B's first fresh quACK after the handover carries
+     a regressed index with novel contents: the consumer adopts its sums
+     as the new baseline (§3.3). *)
+  Link.set_deliver rev.(2)
+    (Population.server_demux pop (fun i -> function
       | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            on_server_quack p.Packet.flow ~index quack
-      | _ ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
-
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
+          ignore (Population.consume pop i ~index quack);
+          true
+      | _ -> false));
 
   (* ---- the migration event ---------------------------------------- *)
   let migrations = ref 0 in
   let transfers = ref 0 in
   let transfer_bytes = ref 0 in
   let migrate i () =
-    if (not (flow_done i)) && on_a.(i) then begin
+    if (not (Population.flow_done pop i)) && on_a.(i) then begin
       incr migrations;
       (match cfg.strategy with
       | Resync -> ()
@@ -265,67 +194,35 @@ let run (cfg : config) =
   in
 
   (* ---- run ---------------------------------------------------------- *)
-  let release_slots i =
-    ignore (Proxy.release proxy_a i);
-    ignore (Proxy.release proxy_b i)
-  in
-  let rec reap i () =
-    if flow_done i then release_slots i
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          if cfg.migrate then
-            Engine.schedule engine ~delay:cfg.migrate_after (migrate i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
+  Population.start pop ~period:(Time.ms 500)
+    ~on_start:(fun i ->
+      if cfg.migrate then
+        Engine.schedule engine ~delay:cfg.migrate_after (migrate i))
+    ~on_tick:ignore ~proxies:[ proxy_a; proxy_b ] ~until:cfg.until;
   Engine.run ~until:cfg.until engine;
 
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let spurious = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    spurious := !spurious + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  let sum = Population.summary pop in
   {
     strategy = cfg.strategy;
     migrated = cfg.migrate;
-    flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    flows = cfg.flows;
+    completed = sum.Population.completed;
+    fct_p50 = sum.Population.fct_p50;
+    fct_p95 = sum.Population.fct_p95;
+    fct_p99 = sum.Population.fct_p99;
+    fct_mean = sum.Population.fct_mean;
+    data_delivered_bytes = sum.Population.data_delivered_bytes;
     proxy_a = Proxy.stats proxy_a;
     proxy_b = Proxy.stats proxy_b;
     migrations = !migrations;
     transfers = !transfers;
     transfer_bytes = !transfer_bytes;
     install_merges = Migration.install_merges handle_b;
-    srv_resyncs = !srv_resyncs;
-    srv_replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 srv_guards;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    spurious_retx = !spurious;
+    srv_resyncs = sum.Population.srv_resyncs;
+    srv_replays_dropped = sum.Population.srv_replays;
+    retransmissions = sum.Population.retransmissions;
+    timeouts = sum.Population.timeouts;
+    spurious_retx = sum.Population.duplicates;
     sim_end = Engine.now engine;
   }
 

@@ -2,8 +2,6 @@ module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
 module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
@@ -83,29 +81,32 @@ let median a =
   s.((Array.length s - 1) / 2)
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Leakage.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Leakage.run: bad unit bounds";
   if cfg.grid <= 0 then invalid_arg "Leakage.run: grid must be positive";
   if cfg.pad_session < 0 then invalid_arg "Leakage.run: negative pad_session";
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
+  let path = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
+  let { Path.engine; fwd; rev } = path in
   let n = cfg.flows in
   let key =
     Sidecar_hash.Sha256.digest_string
       (Printf.sprintf "quack-auth-key-%d" cfg.seed)
   in
-
-  (* ---- workload --------------------------------------------------- *)
   (* Bimodal sizes give the probe a crisp ground truth: each flow is
      either small or large, a fair coin per flow. The observer's job
      is to recover that bit from the quACK side channel alone. *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        if Rng.bool wl_rng ~p:0.5 then cfg.max_units else cfg.min_units)
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
+  let pop =
+    Population.create ~name:"Leakage" path ~flows:n ~sizes:Population.Bimodal
+      ~min_units:cfg.min_units ~max_units:cfg.max_units ~arrival:cfg.arrival
+      ~mss:cfg.mss ~id_key_base:0x51DE
+      ~sketch:
+        {
+          Q.Sender_state.default_config with
+          bits = cfg.bits;
+          threshold = cfg.threshold;
+          count_bits = cfg.count_bits;
+        }
+      ~sidecar:Population.Guarded ~client:None
+      ~ack_link:(fun _ -> rev.(0))
+      ()
   in
 
   (* ---- sidecar + shaping seam ------------------------------------- *)
@@ -131,13 +132,7 @@ let run (cfg : config) =
   let pending : Packet.t option array = Array.make n None in
   let last_sealed : Packet.t option array = Array.make n None in
   let ticking = Array.make n false in
-  let stop_at = Array.map (fun at -> Time.add at cfg.pad_session) start_at in
   let dummy_quacks = ref 0 in
-  let receivers_ref = ref [||] in
-  let flow_done i =
-    let rs = !receivers_ref in
-    Array.length rs > 0 && Transport.Receiver.complete_at rs.(i) <> None
-  in
   let send_out p = ignore (Link.send rev.(1) p) in
   (* One emission opportunity per grid tick per flow: the freshest
      genuine quACK if one is buffered (intermediate emissions coalesce
@@ -162,14 +157,13 @@ let run (cfg : config) =
             send_out p
         | None -> ()));
     let now = Engine.now engine in
-    if (not (flow_done i) || now < stop_at.(i)) && now < cfg.until then
-      Engine.schedule engine ~delay:cfg.grid (tick i)
+    let stop_at = Time.add (Population.start_at pop i) cfg.pad_session in
+    if (not (Population.flow_done pop i) || now < stop_at) && now < cfg.until
+    then Engine.schedule engine ~delay:cfg.grid (tick i)
   in
-  let quacks_sealed = ref 0 in
   let seal_backward p =
     match p.Packet.payload with
     | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-        incr quacks_sealed;
         let wire = Q.Wire.encode_framed quack in
         let tag = Q.Wire.tag ~key ~flow:p.Packet.flow ~index wire in
         let sealed =
@@ -200,60 +194,6 @@ let run (cfg : config) =
       ~backward:seal_backward ()
   in
 
-  (* ---- endpoints --------------------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-          ())
-  in
-  receivers_ref := receivers;
-
-  (* ---- the authenticated server seam (both arms) ------------------ *)
-  let srv_resyncs = ref 0 in
-  let guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
-  let on_sealed i ~index ~tag ~wire =
-    if Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire then
-      match Q.Wire.decode_framed wire with
-      | Error _ -> ()
-      | Ok quack -> (
-          match Q.Replay_guard.classify guards.(i) ~index quack with
-          | Q.Replay_guard.Replay -> () (* shaping chaff lands here *)
-          | Q.Replay_guard.Fresh -> (
-              match Q.Sender_state.on_quack srv_ss.(i) quack with
-              | Ok rep when not rep.Q.Sender_state.stale -> (
-                  match rep.Q.Sender_state.acked with
-                  | [] -> ()
-                  | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-              | Ok _ -> ()
-              | Error (`Threshold_exceeded _) ->
-                  incr srv_resyncs;
-                  ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-              | Error (`Config_mismatch _) -> ())
-          | Q.Replay_guard.Regression ->
-              incr srv_resyncs;
-              ignore (Q.Sender_state.resync_to srv_ss.(i) quack))
-  in
-
   (* ---- the on-path observer --------------------------------------- *)
   (* Knows nothing but what any wire element sees: flow tag, size,
      timing of the sealed quACK stream. *)
@@ -269,51 +209,29 @@ let run (cfg : config) =
       | _ -> ());
 
   (* ---- wiring ------------------------------------------------------ *)
+  Population.attach_clients pop [ fwd.(1) ];
   Link.set_deliver fwd.(0) (fun p ->
       if p.Packet.flow >= 0 && p.Packet.flow < n then Proxy.on_ingress proxy p);
-  Link.set_deliver fwd.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
-        Transport.Receiver.deliver receivers.(p.Packet.flow) p);
   Link.set_deliver rev.(0) (Proxy.on_return proxy);
-  Link.set_deliver rev.(1) (fun p ->
-      if p.Packet.flow >= 0 && p.Packet.flow < n then
-        match p.Packet.payload with
-        | Adv.Sealed { wire; tag; index; _ } ->
-            on_sealed p.Packet.flow ~index ~tag ~wire
-        | _ -> Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
+  (* the authenticated server seam (both arms); shaping chaff is a
+     replay its guard drops *)
+  Link.set_deliver rev.(1)
+    (Population.server_demux pop (fun i -> function
+      | Adv.Sealed { wire; tag; index; _ } ->
+          (if Q.Wire.verify_tag ~key ~flow:i ~index ~tag wire then
+             match Q.Wire.decode_framed wire with
+             | Error _ -> ()
+             | Ok quack -> ignore (Population.consume pop i ~index quack));
+          true
+      | _ -> false));
 
   (* ---- run ---------------------------------------------------------- *)
-  let rec reap i () =
-    if flow_done i then ignore (Proxy.release proxy i)
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
+  Population.start pop ~period:(Time.ms 500) ~on_start:ignore ~on_tick:ignore
+    ~proxies:[ proxy ] ~until:cfg.until;
   Engine.run ~until:cfg.until engine;
 
   (* ---- summary + the observer's guess ------------------------------ *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  let sum = Population.summary pop in
   (* size-class recovery from the quACK side channel alone: flows
      strictly above the median observed emission count are guessed
      "large" (strict, so a flattened shaped stream where most counts
@@ -322,27 +240,26 @@ let run (cfg : config) =
   let count_median = median obs_count in
   let correct = ref 0 in
   for i = 0 to n - 1 do
-    let truly_large = units.(i) > cfg.min_units in
+    let truly_large = Population.units pop i > cfg.min_units in
     let guessed_large = obs_count.(i) > count_median in
     if truly_large = guessed_large then incr correct
   done;
   {
     shaped = cfg.shape;
     flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
+    completed = sum.Population.completed;
+    fct_p50 = sum.Population.fct_p50;
+    fct_p95 = sum.Population.fct_p95;
+    fct_p99 = sum.Population.fct_p99;
+    fct_mean = sum.Population.fct_mean;
     quacks_on_wire = !obs_total;
     quack_bytes_on_wire = !obs_bytes;
     dummy_quacks = !dummy_quacks;
-    replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards;
+    replays_dropped = sum.Population.srv_replays;
     observer_accuracy = float_of_int !correct /. float_of_int n;
-    srv_resyncs = !srv_resyncs;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
+    srv_resyncs = sum.Population.srv_resyncs;
+    retransmissions = sum.Population.retransmissions;
+    timeouts = sum.Population.timeouts;
     sim_end = Engine.now engine;
   }
 

@@ -2,8 +2,6 @@ module Engine = Netsim.Engine
 module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
-module Rng = Netsim.Rng
-module Stats = Netsim.Stats
 module Workload = Netsim.Workload
 module Q = Sidecar_quack
 module Path = Sidecar_protocols.Path
@@ -78,27 +76,34 @@ type report = {
 }
 
 let run (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Multipath.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Multipath.run: bad unit bounds";
   let share_1, share_2 = cfg.split in
   if share_1 < 0 || share_2 < 0 || share_1 + share_2 = 0 then
     invalid_arg "Multipath.run: bad split shares";
   let cycle = share_1 + share_2 in
-  let { Path.engine; fwd; rev } =
-    Path.build ~seed:cfg.seed [ cfg.near; cfg.far_1; cfg.far_2 ]
-  in
+  let path = Path.build ~seed:cfg.seed [ cfg.near; cfg.far_1; cfg.far_2 ] in
+  let { Path.engine; fwd; rev } = path in
   let n = cfg.flows in
-
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
-  in
-  let start_at =
-    Array.map Time.of_float_s (Workload.arrival_times wl_rng cfg.arrival ~n)
+  (* Cross-path delay disparity reorders deeply, so loss detection leans
+     on the folded quACK decode and the PTO, not dupacks. The folded
+     stream has no single emission index: the per-path guards below
+     classify, and the consumers run unguarded. *)
+  let pop =
+    Population.create ~name:"Multipath" path ~flows:n
+      ~sizes:(Population.Sampled cfg.size_dist) ~min_units:cfg.min_units
+      ~max_units:cfg.max_units ~arrival:cfg.arrival ~mss:cfg.mss
+      ~id_key_base:0x517E ~pkt_threshold:1024
+      ~sketch:
+        {
+          Q.Sender_state.default_config with
+          bits = cfg.bits;
+          threshold = cfg.threshold;
+          count_bits = cfg.count_bits;
+        }
+      ~sidecar:Population.Unguarded ~client:None
+        (* asymmetric routing: end-to-end ACKs take path 1's reverse
+           (path 2's when path 1 carries no data) *)
+      ~ack_link:(fun _ -> if share_1 > 0 then rev.(1) else rev.(0))
+      ()
   in
 
   (* ---- the two path sidecars -------------------------------------- *)
@@ -129,39 +134,6 @@ let run (cfg : config) =
       ~forward:(fun p -> ignore (Link.send fwd.(2) p))
   in
 
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let senders =
-    Array.init n (fun i ->
-        (* cross-path delay disparity reorders deeply; loss detection
-           leans on the folded quACK decode and the PTO, not dupacks *)
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~pkt_threshold:1024
-          ~id_key:(Q.Identifier.key_of_int (0x517E + i))
-          ~on_transmit:(fun p ->
-            Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id p.Packet.seq)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ~send_ack:(fun p ->
-            (* asymmetric routing: end-to-end ACKs take path 1's
-               reverse (path 2's when path 1 carries no data) *)
-            ignore (Link.send (if share_1 > 0 then rev.(1) else rev.(0)) p))
-          ())
-  in
-
   (* ---- the sender-side fold: two path quACKs -> one decode -------- *)
   (* Per flow, the latest cumulative quACK of each path. The fold
      reconstructs each as a sketch, merges them ([Psum.merge] is
@@ -174,7 +146,6 @@ let run (cfg : config) =
   let guards1 = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   let guards2 = Array.init n (fun _ -> Q.Replay_guard.create ()) in
   let folded_decodes = ref 0 in
-  let srv_resyncs = ref 0 in
   let psum_of (q : Q.Quack.t) =
     let p = Q.Psum.create ~bits:cfg.bits ~threshold:cfg.threshold () in
     Q.Psum.set_state p ~sums:q.Q.Quack.sums ~count:q.Q.Quack.count;
@@ -188,18 +159,6 @@ let run (cfg : config) =
         incr folded_decodes;
         let merged = Q.Psum.merge (psum_of q1) (psum_of q2) in
         Some (Q.Quack.of_psum ~count_bits:cfg.count_bits merged)
-  in
-  let on_srv_report i quack =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale -> (
-        match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs))
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
   in
   let on_server_quack i ~src ~index quack =
     let guard, slot =
@@ -216,23 +175,17 @@ let run (cfg : config) =
         match fold i with
         | None -> ()
         | Some folded ->
-            if verdict = Q.Replay_guard.Regression then begin
+            if verdict = Q.Replay_guard.Regression then
               (* one path's sidecar state restarted (eviction +
                  re-admission): its fresh baseline makes the fold
                  undecodable against ours, so adopt it (§3.3) *)
-              incr srv_resyncs;
-              ignore (Q.Sender_state.resync_to srv_ss.(i) folded)
-            end
-            else on_srv_report i folded)
+              ignore
+                (Q.Quack_consumer.resync (Population.consumer pop i) folded)
+            else ignore (Population.consume pop i folded))
   in
 
   (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  let count_delivered p =
-    delivered_bytes := !delivered_bytes + p.Packet.size
-  in
-  Link.set_tap fwd.(1) count_delivered;
-  Link.set_tap fwd.(2) count_delivered;
+  Population.attach_clients pop [ fwd.(1); fwd.(2) ];
   (* splitter: a deterministic per-flow cycle over the two branches *)
   let split_pos = Array.make n 0 in
   let path1_pkts = ref 0 in
@@ -251,82 +204,42 @@ let run (cfg : config) =
           Proxy.on_ingress proxy_2 p
         end
       end);
-  let deliver_client p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      Transport.Receiver.deliver receivers.(p.Packet.flow) p
-  in
-  Link.set_deliver fwd.(1) deliver_client;
-  Link.set_deliver fwd.(2) deliver_client;
   Link.set_deliver rev.(1) (Proxy.on_return proxy_1);
   Link.set_deliver rev.(0) (Proxy.on_return proxy_2);
-  Link.set_deliver rev.(2) (fun p ->
-      match p.Packet.payload with
+  Link.set_deliver rev.(2)
+    (Population.server_demux pop (fun i -> function
       | Sframes.Quack_frame { quack; src; dst = "server"; index } ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            on_server_quack p.Packet.flow ~src ~index quack
-      | _ ->
-          if p.Packet.flow >= 0 && p.Packet.flow < n then
-            Transport.Sender.deliver_ack senders.(p.Packet.flow) p);
+          on_server_quack i ~src ~index quack;
+          true
+      | _ -> false));
 
   (* ---- run ---------------------------------------------------------- *)
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
-  let release_slots i =
-    ignore (Proxy.release proxy_1 i);
-    ignore (Proxy.release proxy_2 i)
-  in
-  let rec reap i () =
-    if flow_done i then release_slots i
-    else if Engine.now engine < cfg.until then
-      Engine.schedule engine ~delay:(Time.ms 500) (reap i)
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:(Time.ms 500) (reap i)))
-    start_at;
+  Population.start pop ~period:(Time.ms 500) ~on_start:ignore ~on_tick:ignore
+    ~proxies:[ proxy_1; proxy_2 ] ~until:cfg.until;
   Engine.run ~until:cfg.until engine;
 
-  (* ---- summary ----------------------------------------------------- *)
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  let completed = ref 0 in
-  let retransmissions = ref 0 in
-  let timeouts = ref 0 in
-  let duplicates = ref 0 in
-  for i = 0 to n - 1 do
-    let st = Transport.Sender.stats senders.(i) in
-    retransmissions := !retransmissions + st.Transport.Sender.retransmissions;
-    timeouts := !timeouts + st.Transport.Sender.timeouts;
-    duplicates := !duplicates + Transport.Receiver.duplicates receivers.(i);
-    match Transport.Receiver.complete_at receivers.(i) with
-    | Some at ->
-        incr completed;
-        let fct = Time.to_float_s (Time.diff at start_at.(i)) in
-        Stats.Quantiles.add qs fct;
-        Stats.Summary.add summary fct
-    | None -> ()
-  done;
+  let sum = Population.summary pop in
+  let replays guards =
+    Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards
+  in
   {
     flows = n;
-    completed = !completed;
-    fct_p50 = (if !completed = 0 then Float.nan else Stats.Quantiles.p50 qs);
-    fct_p95 = (if !completed = 0 then Float.nan else Stats.Quantiles.p95 qs);
-    fct_p99 = (if !completed = 0 then Float.nan else Stats.Quantiles.p99 qs);
-    fct_mean = (if !completed = 0 then Float.nan else Stats.Summary.mean summary);
-    data_delivered_bytes = !delivered_bytes;
+    completed = sum.Population.completed;
+    fct_p50 = sum.Population.fct_p50;
+    fct_p95 = sum.Population.fct_p95;
+    fct_p99 = sum.Population.fct_p99;
+    fct_mean = sum.Population.fct_mean;
+    data_delivered_bytes = sum.Population.data_delivered_bytes;
     proxy_1 = Proxy.stats proxy_1;
     proxy_2 = Proxy.stats proxy_2;
     path1_pkts = !path1_pkts;
     path2_pkts = !path2_pkts;
     folded_decodes = !folded_decodes;
-    srv_resyncs = !srv_resyncs;
-    srv_replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards1
-      + Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 guards2;
-    retransmissions = !retransmissions;
-    timeouts = !timeouts;
-    duplicates = !duplicates;
+    srv_resyncs = sum.Population.srv_resyncs;
+    srv_replays_dropped = replays guards1 + replays guards2;
+    retransmissions = sum.Population.retransmissions;
+    timeouts = sum.Population.timeouts;
+    duplicates = sum.Population.duplicates;
     sim_end = Engine.now engine;
   }
 

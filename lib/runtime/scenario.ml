@@ -108,7 +108,7 @@ let default_config =
     until = Time.s 120;
   }
 
-type flow_report = {
+type flow_report = Population.flow_report = {
   flow : int;
   units : int;
   started_at : Time.t;
@@ -143,9 +143,6 @@ type report = {
 }
 
 let run ?cost_clock (cfg : config) =
-  if cfg.flows < 1 then invalid_arg "Scenario.run: need at least one flow";
-  if cfg.min_units < 1 || cfg.max_units < cfg.min_units then
-    invalid_arg "Scenario.run: bad unit bounds";
   if cfg.client_quack_every < 1 then
     invalid_arg "Scenario.run: client quack interval must be positive";
   if cfg.keepalive <= 0 then
@@ -155,10 +152,10 @@ let run ?cost_clock (cfg : config) =
     | `Retx -> [ cfg.near; cfg.middle; cfg.far ]
     | `Cc | `Ack -> [ cfg.near; cfg.far ]
   in
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed segments in
+  let path = Path.build ~seed:cfg.seed segments in
+  let { Path.engine; fwd; rev } = path in
   let nseg = Array.length fwd in
   let wire = cfg.mss + 40 in
-  let n = cfg.flows in
   (* Sketch arithmetic shared by every sketch in the run, so each
      decode pair (proxy rx / server ss, client rx / proxy ss) agrees
      on its field. [`Log] is table-backed and only fits small moduli
@@ -180,62 +177,118 @@ let run ?cost_clock (cfg : config) =
     | `Flat -> Protocol.Flat { slots = cfg.table_flows; batch = 16 }
   in
 
-  (* ---- workload --------------------------------------------------- *)
-  let wl_rng = Rng.split (Engine.rng engine) in
-  let units =
-    Array.init n (fun _ ->
-        let u = Workload.sample_size wl_rng cfg.size_dist in
-        max cfg.min_units (min cfg.max_units u))
+  (* ---- clients ----------------------------------------------------- *)
+  (* sized before Population.create validates [flows] *)
+  let clients = max 0 cfg.flows in
+  let client_rx =
+    Array.init clients (fun _ ->
+        Q.Receiver_state.create ~bits:cfg.bits ?field:field_mod
+          ~count_bits:cfg.count_bits
+          ~policy:(Q.Receiver_state.Every_packets cfg.client_quack_every)
+          ~threshold:cfg.threshold ())
   in
-  let start_at =
-    let t = ref 0. in
-    Array.init n (fun _ ->
-        t := !t +. Workload.sample_exponential wl_rng ~mean:cfg.arrival_mean_s;
-        Time.of_float_s !t)
+  let client_quack_index = Array.make clients 0 in
+  let send_client_quack i q =
+    client_quack_index.(i) <- client_quack_index.(i) + 1;
+    ignore
+      (Link.send rev.(0)
+         (Sframes.quack_packet ~src:"client" ~quack:q ~dst:"proxy"
+            ~index:client_quack_index.(i) ~count_omitted:false ~flow:i
+            ~now:(Engine.now engine) ()))
+  in
+  let client =
+    match cfg.protocol with
+    | `Cc ->
+        Some
+          (fun _ (p : Packet.t) ->
+            let i = p.Packet.flow in
+            match Q.Receiver_state.on_receive client_rx.(i) p.Packet.id with
+            | Some q -> send_client_quack i q
+            | None -> ())
+    | `Ack ->
+        (* The ACK-frequency extension keeps immediate ACKs during
+           start-up (the sender needs the clocking) and goes sparse
+           once the flow is established. *)
+        Some
+          (fun r _ ->
+            if Transport.Receiver.data_packets_seen r = cfg.warmup_units then
+              Transport.Receiver.set_ack_every r cfg.client_ack_every)
+    | `Retx -> None
+  in
+  (* In [`Retx] the server runs no sidecar (the pair is self-contained
+     in-network), but its loss detection must tolerate the reordering
+     local retransmission introduces. *)
+  let pop =
+    Population.create ~name:"Scenario" path ~flows:cfg.flows
+      ~sizes:(Population.Sampled cfg.size_dist) ~min_units:cfg.min_units
+      ~max_units:cfg.max_units
+      ~arrival:(Workload.Poisson { mean_s = cfg.arrival_mean_s })
+      ~mss:cfg.mss ~id_key_base:0x51DE
+      ?pkt_threshold:(match cfg.protocol with `Retx -> Some 1024 | _ -> None)
+      ~sketch:
+        {
+          Q.Sender_state.default_config with
+          bits = cfg.bits;
+          threshold = cfg.threshold;
+          count_bits = cfg.count_bits;
+          field = field_mod;
+        }
+      ~sidecar:
+        (match cfg.protocol with
+        | `Cc | `Ack -> Population.Guarded
+        | `Retx -> Population.No_sidecar)
+      ~client
+      ~ack_link:(fun _ -> rev.(0))
+      ()
   in
 
   (* ---- proxies ---------------------------------------------------- *)
-  let mk_proxy ~protocol ~forward ~backward =
-    Proxy.create engine ~capacity:cfg.table_flows ~policy:cfg.policy ~protocol
-      ~forward ~backward ?cost_clock ()
+  (* The proxy at junction [k] sits between segments [k - 1] and [k]:
+     it takes fwd.(k - 1) and forwards on fwd.(k); [Path.build] lists
+     the return links receiver side first, so it takes rev.(nseg - 1 - k)
+     and returns on rev.(nseg - k). *)
+  let mk_proxy k protocol =
+    let px =
+      Proxy.create engine ~capacity:cfg.table_flows ~policy:cfg.policy ~protocol
+        ~forward:(fun p -> ignore (Link.send fwd.(k) p))
+        ~backward:(fun p -> ignore (Link.send rev.(nseg - k) p))
+        ?cost_clock ()
+    in
+    Link.set_deliver fwd.(k - 1) (Proxy.on_ingress px);
+    Link.set_deliver rev.(nseg - 1 - k) (Proxy.on_return px);
+    px
   in
   (* [proxy] sits at the first junction in every mode; [proxy2] exists
      only for [`Retx], where the pair brackets the middle segment. *)
   let proxy, proxy2 =
     match cfg.protocol with
     | `Cc ->
-        ( mk_proxy
-            ~protocol:
-              (Proto_cc.make
-                 {
-                   Proto_cc.bits = cfg.bits;
-                   threshold = cfg.threshold;
-                   count_bits = Some cfg.count_bits;
-                   wire;
-                   buffer_pkts = cfg.buffer_pkts;
-                   upstream = Proto_cc.Every cfg.upstream_quack_every;
-                   overflow = Proto_cc.Bypass;
-                   field = field_mod;
-                   datapath;
-                 })
-            ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-            ~backward:(fun p -> ignore (Link.send rev.(1) p)),
+        ( mk_proxy 1
+            (Proto_cc.make
+               {
+                 Proto_cc.bits = cfg.bits;
+                 threshold = cfg.threshold;
+                 count_bits = Some cfg.count_bits;
+                 wire;
+                 buffer_pkts = cfg.buffer_pkts;
+                 upstream = Proto_cc.Every cfg.upstream_quack_every;
+                 overflow = Proto_cc.Bypass;
+                 field = field_mod;
+                 datapath;
+               }),
           None )
     | `Ack ->
-        ( mk_proxy
-            ~protocol:
-              (Proto_ar.make
-                 {
-                   Proto_ar.bits = cfg.bits;
-                   threshold = cfg.threshold;
-                   count_bits = Some cfg.count_bits;
-                   quack_every = cfg.upstream_quack_every;
-                   omit_count = false;
-                   field = field_mod;
-                   datapath;
-                 })
-            ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-            ~backward:(fun p -> ignore (Link.send rev.(1) p)),
+        ( mk_proxy 1
+            (Proto_ar.make
+               {
+                 Proto_ar.bits = cfg.bits;
+                 threshold = cfg.threshold;
+                 count_bits = Some cfg.count_bits;
+                 quack_every = cfg.upstream_quack_every;
+                 omit_count = false;
+                 field = field_mod;
+                 datapath;
+               }),
           None )
     | `Retx ->
         let pcfg =
@@ -254,232 +307,71 @@ let run ?cost_clock (cfg : config) =
             datapath;
           }
         in
-        ( mk_proxy
-            ~protocol:(Proto_retx.near pcfg)
-            ~forward:(fun p -> ignore (Link.send fwd.(1) p))
-            ~backward:(fun p -> ignore (Link.send rev.(2) p)),
-          Some
-            (mk_proxy
-               ~protocol:(Proto_retx.far pcfg)
-               ~forward:(fun p -> ignore (Link.send fwd.(2) p))
-               ~backward:(fun p -> ignore (Link.send rev.(1) p))) )
+        (mk_proxy 1 (Proto_retx.near pcfg), Some (mk_proxy 2 (Proto_retx.far pcfg)))
   in
-
-  (* ---- per-flow endpoints ----------------------------------------- *)
-  let ss_config =
-    {
-      Q.Sender_state.default_config with
-      bits = cfg.bits;
-      threshold = cfg.threshold;
-      count_bits = cfg.count_bits;
-      field = field_mod;
-    }
-  in
-  let srv_ss = Array.init n (fun _ -> Q.Sender_state.create ss_config) in
-  let upstream_interval = Array.make n cfg.upstream_quack_every in
-  let srv_resyncs = ref 0 in
-  let freq_updates_sent = ref 0 in
-  (* In [`Retx] the server runs no sidecar (the pair is self-contained
-     in-network), but its loss detection must tolerate the reordering
-     local retransmission introduces. *)
-  let server_sidecar =
-    match cfg.protocol with `Cc | `Ack -> true | `Retx -> false
-  in
-  let senders =
-    Array.init n (fun i ->
-        Transport.Sender.create engine ~mss:cfg.mss ~flow:i
-          ~id_key:(Q.Identifier.key_of_int (0x51DE + i))
-          ?pkt_threshold:(match cfg.protocol with `Retx -> Some 1024 | _ -> None)
-          ?on_transmit:
-            (if server_sidecar then
-               Some
-                 (fun p ->
-                   Q.Sender_state.on_send srv_ss.(i) ~id:p.Packet.id
-                     p.Packet.seq)
-             else None)
-          ~total_units:units.(i)
-          ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-          ())
-  in
-  let client_rx =
-    Array.init n (fun _ ->
-        Q.Receiver_state.create ~bits:cfg.bits ?field:field_mod
-          ~count_bits:cfg.count_bits
-          ~policy:(Q.Receiver_state.Every_packets cfg.client_quack_every)
-          ~threshold:cfg.threshold ())
-  in
-  let client_quack_index = Array.make n 0 in
-  let send_client_quack i q =
-    client_quack_index.(i) <- client_quack_index.(i) + 1;
-    ignore
-      (Link.send rev.(0)
-         (Sframes.quack_packet ~src:"client" ~quack:q ~dst:"proxy"
-            ~index:client_quack_index.(i) ~count_omitted:false ~flow:i
-            ~now:(Engine.now engine) ()))
-  in
-  let receivers_ref = ref [||] in
-  let on_client_data i =
-    match cfg.protocol with
-    | `Cc ->
-        Some
-          (fun (p : Packet.t) ->
-            match Q.Receiver_state.on_receive client_rx.(i) p.Packet.id with
-            | Some q -> send_client_quack i q
-            | None -> ())
-    | `Ack ->
-        (* The ACK-frequency extension keeps immediate ACKs during
-           start-up (the sender needs the clocking) and goes sparse
-           once the flow is established. *)
-        let delivered = ref 0 in
-        Some
-          (fun (_ : Packet.t) ->
-            incr delivered;
-            if !delivered = cfg.warmup_units && Array.length !receivers_ref > i
-            then
-              Transport.Receiver.set_ack_every !receivers_ref.(i)
-                cfg.client_ack_every)
-    | `Retx -> None
-  in
-  let receivers =
-    Array.init n (fun i ->
-        Transport.Receiver.create engine ~flow:i ~total_units:units.(i)
-          ?on_data:(on_client_data i)
-          ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-          ())
-  in
-  receivers_ref := receivers;
+  let proxies = proxy :: Option.to_list proxy2 in
 
   (* The server-side sidecar of §2.2/§2.3: decode the proxy's upstream
      quACKs into provisional window space, and steer the proxy's quACK
      cadence toward [target_missing] losses per interval. *)
-  let srv_guards = Array.init n (fun _ -> Q.Replay_guard.create ()) in
-  let on_srv_report i quack =
-    match Q.Sender_state.on_quack srv_ss.(i) quack with
-    | Ok rep when not rep.Q.Sender_state.stale ->
-        (match rep.Q.Sender_state.acked with
-        | [] -> ()
-        | seqs -> ignore (Transport.Sender.sidecar_ack senders.(i) ~seqs));
-        if cfg.adaptive then begin
-          let lost = List.length rep.Q.Sender_state.lost in
-          let got = List.length rep.Q.Sender_state.acked in
-          if lost + got > 0 then begin
-            let observed_loss = float_of_int lost /. float_of_int (lost + got) in
-            let next =
-              Q.Frequency.adapt_interval ~current:upstream_interval.(i)
-                ~observed_loss ~target_missing:cfg.target_missing
-            in
-            if next <> upstream_interval.(i) then begin
-              upstream_interval.(i) <- next;
-              incr freq_updates_sent;
-              ignore
-                (Link.send fwd.(0)
-                   (Sframes.freq_packet ~dst:"proxy" ~interval_packets:next
-                      ~flow:i ~now:(Engine.now engine)))
-            end
-          end
-        end
-    | Ok _ -> () (* stale: the proxy's receiver state restarted; skip *)
-    | Error (`Threshold_exceeded _) ->
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
-    | Error (`Config_mismatch _) -> ()
+  let upstream_interval = Array.make cfg.flows cfg.upstream_quack_every in
+  let freq_updates_sent = ref 0 in
+  let adapt i (rep : int Q.Sender_state.report) =
+    let lost = List.length rep.Q.Sender_state.lost in
+    let got = List.length rep.Q.Sender_state.acked in
+    if lost + got > 0 then begin
+      let observed_loss = float_of_int lost /. float_of_int (lost + got) in
+      let next =
+        Q.Frequency.adapt_interval ~current:upstream_interval.(i)
+          ~observed_loss ~target_missing:cfg.target_missing
+      in
+      if next <> upstream_interval.(i) then begin
+        upstream_interval.(i) <- next;
+        incr freq_updates_sent;
+        ignore
+          (Link.send fwd.(0)
+             (Sframes.freq_packet ~dst:"proxy" ~interval_packets:next ~flow:i
+                ~now:(Engine.now engine)))
+      end
+    end
   in
-  let on_server_quack i ~index quack =
-    match Q.Replay_guard.classify srv_guards.(i) ~index quack with
-    | Q.Replay_guard.Fresh -> on_srv_report i quack
-    | Q.Replay_guard.Replay ->
-        (* byte-identical re-delivery of an emission already consumed:
-           dropped. Treating it as a restart (as this seam did before
-           the guard) would resync onto stale sums — one captured
-           packet becoming a reusable rollback token. *)
-        ()
-    | Q.Replay_guard.Regression ->
-        (* quACK indices only regress with novel contents when the
-           proxy's per-flow state restarted (eviction +
-           re-admission): its fresh counts would look permanently
-           stale, so adopt the new power sums as the baseline (§3.3)
-           — the abandoned in-flight packets are covered by
-           end-to-end recovery. *)
-        incr srv_resyncs;
-        ignore (Q.Sender_state.resync_to srv_ss.(i) quack)
+  let deliver_server =
+    Population.server_demux pop (fun i -> function
+      | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
+          (match Population.consume pop i ~index quack with
+          | Q.Quack_consumer.Decoded rep when cfg.adaptive -> adapt i rep
+          | _ -> ());
+          true
+      | _ -> false)
   in
 
   (* ---- wiring ------------------------------------------------------ *)
-  let delivered_bytes = ref 0 in
-  Link.set_tap fwd.(nseg - 1) (fun p ->
-      delivered_bytes := !delivered_bytes + p.Packet.size);
-  let deliver_client p =
-    if p.Packet.flow >= 0 && p.Packet.flow < n then
-      Transport.Receiver.deliver receivers.(p.Packet.flow) p
-  in
-  let deliver_server p =
-    match p.Packet.payload with
-    | Sframes.Quack_frame { quack; dst = "server"; index; _ } ->
-        if p.Packet.flow >= 0 && p.Packet.flow < n then
-          on_server_quack p.Packet.flow ~index quack
-    | _ ->
-        if p.Packet.flow >= 0 && p.Packet.flow < n then
-          Transport.Sender.deliver_ack senders.(p.Packet.flow) p
-  in
-  Link.set_deliver fwd.(0) (Proxy.on_ingress proxy);
-  (match proxy2 with
-  | None ->
-      Link.set_deliver fwd.(1) deliver_client;
-      Link.set_deliver rev.(0) (Proxy.on_return proxy);
-      Link.set_deliver rev.(1) deliver_server
-  | Some b ->
-      Link.set_deliver fwd.(1) (Proxy.on_ingress b);
-      Link.set_deliver fwd.(2) deliver_client;
-      Link.set_deliver rev.(0) (Proxy.on_return b);
-      Link.set_deliver rev.(1) (Proxy.on_return proxy);
-      Link.set_deliver rev.(2) deliver_server);
-
-  let flow_done i = Transport.Receiver.complete_at receivers.(i) <> None in
-  let all_done () =
-    Array.for_all (fun r -> Transport.Receiver.complete_at r <> None) receivers
-  in
+  Population.attach_clients pop [ fwd.(nseg - 1) ];
+  Link.set_deliver rev.(nseg - 1) deliver_server;
 
   (* Protocol timers (the retransmission pair's far proxy quACKs on a
      subpath-RTT backstop); a no-op for timerless protocols. *)
-  Proxy.start proxy ~until:cfg.until;
-  (match proxy2 with Some b -> Proxy.start b ~until:cfg.until | None -> ());
+  List.iter (fun px -> Proxy.start px ~until:cfg.until) proxies;
 
   (* Client keepalive: for CC division, re-emit the cumulative quACK
      while the flow is open, so a lost quACK can never leave the proxy
      window closed forever (cumulative quACKs make the duplicates
      harmless); for every protocol, release the proxy slots when the
      flow completes. *)
-  let release_slots i =
-    ignore (Proxy.release proxy i);
-    match proxy2 with Some b -> ignore (Proxy.release b i) | None -> ()
-  in
-  let rec keepalive i () =
-    if flow_done i then release_slots i
-    else if Engine.now engine < cfg.until then begin
+  Population.start pop ~period:cfg.keepalive ~on_start:ignore
+    ~on_tick:
       (match cfg.protocol with
-      | `Cc -> send_client_quack i (Q.Receiver_state.emit client_rx.(i))
-      | `Ack | `Retx -> ());
-      Engine.schedule engine ~delay:cfg.keepalive (keepalive i)
-    end
-  in
-  Array.iteri
-    (fun i at ->
-      Engine.schedule_at engine at (fun () ->
-          Transport.Sender.start senders.(i);
-          Engine.schedule engine ~delay:cfg.keepalive (keepalive i)))
-    start_at;
+      | `Cc -> fun i -> send_client_quack i (Q.Receiver_state.emit client_rx.(i))
+      | `Ack | `Retx -> ignore)
+    ~proxies ~until:cfg.until;
 
   (match cfg.policy with
   | Flow_table.Lru -> ()
   | Flow_table.Idle span ->
       let period = max (Time.ms 1) (span / 2) in
-      let sweep_all () =
-        ignore (Proxy.sweep_idle proxy);
-        match proxy2 with Some b -> ignore (Proxy.sweep_idle b) | None -> ()
-      in
       let rec sweep () =
-        sweep_all ();
-        if Engine.now engine < cfg.until && not (all_done ()) then
+        List.iter (fun px -> ignore (Proxy.sweep_idle px)) proxies;
+        if Engine.now engine < cfg.until && not (Population.all_done pop) then
           Engine.schedule engine ~delay:period sweep
       in
       Engine.schedule engine ~delay:period sweep);
@@ -487,55 +379,24 @@ let run ?cost_clock (cfg : config) =
   Engine.run ~until:cfg.until engine;
 
   (* ---- summary ----------------------------------------------------- *)
-  let flow_reports =
-    Array.init n (fun i ->
-        let completed_at = Transport.Receiver.complete_at receivers.(i) in
-        let stats = Transport.Sender.stats senders.(i) in
-        {
-          flow = i;
-          units = units.(i);
-          started_at = start_at.(i);
-          completed = completed_at <> None;
-          fct_s =
-            (match completed_at with
-            | Some at -> Time.to_float_s (Time.diff at start_at.(i))
-            | None -> Float.nan);
-          transmissions = stats.Transport.Sender.transmissions;
-          retransmissions = stats.Transport.Sender.retransmissions;
-          timeouts = stats.Transport.Sender.timeouts;
-          duplicates = Transport.Receiver.duplicates receivers.(i);
-        })
-  in
-  let qs = Stats.Quantiles.create () in
-  let summary = Stats.Summary.create () in
-  Array.iter
-    (fun (fr : flow_report) ->
-      if fr.completed then begin
-        Stats.Quantiles.add qs fr.fct_s;
-        Stats.Summary.add summary fr.fct_s
-      end)
-    flow_reports;
+  let sum = Population.summary pop in
   let table = Proxy.table_stats proxy in
   {
-    flows = flow_reports;
-    completed =
-      Array.fold_left
-        (fun a (f : flow_report) -> if f.completed then a + 1 else a)
-        0 flow_reports;
-    fct_p50 = Stats.Quantiles.p50 qs;
-    fct_p95 = Stats.Quantiles.p95 qs;
-    fct_p99 = Stats.Quantiles.p99 qs;
-    fct_mean = Stats.Summary.mean summary;
-    data_delivered_bytes = !delivered_bytes;
+    flows = sum.Population.per_flow;
+    completed = sum.Population.completed;
+    fct_p50 = sum.Population.fct_p50;
+    fct_p95 = sum.Population.fct_p95;
+    fct_p99 = sum.Population.fct_p99;
+    fct_mean = sum.Population.fct_mean;
+    data_delivered_bytes = sum.Population.data_delivered_bytes;
     proxy = Proxy.stats proxy;
     proxy2 = Option.map Proxy.stats proxy2;
     table;
     table2 = Option.map Proxy.table_stats proxy2;
     peak_occupancy = Proxy.peak_occupancy proxy;
     evictions = table.Flow_table.evicted_lru + table.Flow_table.evicted_idle;
-    srv_resyncs = !srv_resyncs;
-    srv_replays_dropped =
-      Array.fold_left (fun a g -> a + Q.Replay_guard.replays g) 0 srv_guards;
+    srv_resyncs = sum.Population.srv_resyncs;
+    srv_replays_dropped = sum.Population.srv_replays;
     freq_updates_sent =
       (match cfg.protocol with
       | `Cc | `Ack -> !freq_updates_sent
@@ -543,9 +404,7 @@ let run ?cost_clock (cfg : config) =
           Obs.Metrics.Counter.get (Proxy.counters proxy).Protocol.freq_sent);
     proxy_retransmissions =
       Obs.Metrics.Counter.get (Proxy.counters proxy).Protocol.retransmissions;
-    proxy_busy_s =
-      (Proxy.busy_s proxy
-      +. match proxy2 with Some b -> Proxy.busy_s b | None -> 0.);
+    proxy_busy_s = List.fold_left (fun a px -> a +. Proxy.busy_s px) 0. proxies;
     sim_end = Engine.now engine;
   }
 

@@ -95,11 +95,11 @@ let run cfg =
   (* ---- server sidecar -------------------------------------------- *)
   (* meta: the packet seq, so quACK-acked ids map back to window
      entries for the provisional release. *)
-  let server_ss =
-    Q.Sender_state.create
+  let server =
+    Q.Quack_consumer.create
       { Q.Sender_state.default_config with bits = cfg.bits; threshold = cfg.threshold }
   in
-  let on_transmit p = Q.Sender_state.on_send server_ss ~id:p.Packet.id p.Packet.seq in
+  let on_transmit p = Q.Quack_consumer.on_send server ~id:p.Packet.id p.Packet.seq in
   let server_quack ~sender ~index (q : Q.Quack.t) =
     (* Count-omitted mode (§4.3): the proxy quACKs every [n] packets,
        so the [index]-th quACK stands for an implicit count of
@@ -110,13 +110,11 @@ let run cfg =
       else q
     in
     incr quacks;
-    match Q.Sender_state.on_quack server_ss q with
-    | Ok rep when not rep.Q.Sender_state.stale ->
+    match Q.Quack_consumer.consume server q with
+    | Q.Quack_consumer.Decoded rep ->
         let seqs = rep.Q.Sender_state.acked in
         freed_early := !freed_early + Transport.Sender.sidecar_ack sender ~seqs
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) -> ignore (Q.Sender_state.resync_to server_ss q)
-    | Error (`Config_mismatch _) -> ()
+    | Q.Quack_consumer.(Stale | Resynced _ | Restarted _ | Replay | Mismatch) -> ()
   in
 
   (* ---- proxy ------------------------------------------------------ *)

@@ -84,31 +84,25 @@ let run cfg =
   in
   let quacks_from_client = ref 0 in
   let client_quack_bytes = ref 0 in
-  let server_decode_failures = ref 0 in
 
   (* ---- server sidecar -------------------------------------------- *)
-  let server_ss =
-    Q.Sender_state.create
+  let server =
+    Q.Quack_consumer.create
       { Q.Sender_state.default_config with bits = cfg.bits; threshold = cfg.threshold }
   in
-  let on_transmit p =
-    Q.Sender_state.on_send server_ss ~id:p.Packet.id p.Packet.size
-  in
+  let on_transmit p = Q.Quack_consumer.on_send server ~id:p.Packet.id p.Packet.size in
   let server_quack ~sender ~index:_ q =
-    match Q.Sender_state.on_quack server_ss q with
-    | Ok rep when not rep.Q.Sender_state.stale ->
+    match Q.Quack_consumer.consume server q with
+    | Q.Quack_consumer.Decoded rep ->
         let acked_bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
         if rep.Q.Sender_state.lost <> [] then
           Transport.Sender.external_congestion sender;
         if acked_bytes > 0 then
           Transport.Sender.external_ack sender ~acked_bytes ~rtt:None
-    | Ok _ -> ()
-    | Error (`Threshold_exceeded _) ->
-        incr server_decode_failures;
-        ignore (Q.Sender_state.resync_to server_ss q);
+    | Q.Quack_consumer.Resynced _ ->
         (* conservative: treat as congestion; e2e ACKs keep reliability *)
         Transport.Sender.external_congestion sender
-    | Error (`Config_mismatch _) -> incr server_decode_failures
+    | Q.Quack_consumer.(Stale | Restarted _ | Replay | Mismatch) -> ()
   in
 
   (* ---- proxy ------------------------------------------------------ *)
@@ -196,5 +190,6 @@ let run cfg =
       + Obs.Metrics.Counter.get counters.Protocol.quack_bytes;
     proxy_buffer_peak = proxy_info.Protocol.buffer_peak;
     proxy_window_final = proxy_info.Protocol.window_bytes;
-    server_decode_failures = !server_decode_failures;
+    server_decode_failures =
+      Q.Quack_consumer.resyncs server + Q.Quack_consumer.mismatches server;
   }

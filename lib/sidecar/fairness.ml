@@ -178,8 +178,8 @@ let run cfg =
           })
   in
   let quack_idx = Array.make 2 0 in
-  let server_ss = Array.init 2 (fun _ ->
-      Q.Sender_state.create
+  let server = Array.init 2 (fun _ ->
+      Q.Quack_consumer.create
         { Q.Sender_state.default_config with threshold = cfg.threshold })
   in
   let senders =
@@ -187,7 +187,7 @@ let run cfg =
         Transport.Sender.create engine ~mss:cfg.mss ~flow:i ~external_cc:true
           ~cc:(Transport.Newreno.create ~mss:wire ())
           ~on_transmit:(fun p ->
-            Q.Sender_state.on_send server_ss.(i) ~id:p.Packet.id p.Packet.size)
+            Q.Quack_consumer.on_send server.(i) ~id:p.Packet.id p.Packet.size)
           ~total_units:cfg.units_per_flow
           ~egress:(fun p -> ignore (Link.send s2p.(i) p))
           ())
@@ -204,18 +204,17 @@ let run cfg =
     Link.set_deliver p2s.(i) (fun p ->
         match p.Packet.payload with
         | Sframes.Quack_frame { quack; dst = "server"; _ } -> (
-            match Q.Sender_state.on_quack server_ss.(i) quack with
-            | Ok rep when not rep.Q.Sender_state.stale ->
+            match Q.Quack_consumer.consume server.(i) quack with
+            | Q.Quack_consumer.Decoded rep ->
                 let bytes = List.fold_left ( + ) 0 rep.Q.Sender_state.acked in
                 if rep.Q.Sender_state.lost <> [] then
                   Transport.Sender.external_congestion senders.(i);
                 if bytes > 0 then
                   Transport.Sender.external_ack senders.(i) ~acked_bytes:bytes
                     ~rtt:None
-            | Ok _ -> ()
-            | Error _ ->
-                ignore (Q.Sender_state.resync_to server_ss.(i) quack);
-                Transport.Sender.external_congestion senders.(i))
+            | Q.Quack_consumer.Resynced _ ->
+                Transport.Sender.external_congestion senders.(i)
+            | Q.Quack_consumer.(Stale | Restarted _ | Replay | Mismatch) -> ())
         | _ -> Transport.Sender.deliver_ack senders.(i) p)
   done;
   Link.set_deliver p2c (fun p ->

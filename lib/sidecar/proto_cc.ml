@@ -52,7 +52,8 @@ let make cfg =
   in
   let init (ctx : Protocol.ctx) =
     let up_rx = Rx_state.attach rx_pool in
-    let down_ss = Q.Sender_state.create ss_config in
+    let down = Q.Quack_consumer.create ss_config in
+    let down_ss = Q.Quack_consumer.state down in
     let win = Proxy_window.create ~wire:cfg.wire in
     let buffer : Packet.t Queue.t = Queue.create () in
     let buffer_peak = ref 0 in
@@ -113,25 +114,23 @@ let make cfg =
       pump ()
     in
     let on_feedback ~index q =
-      match Q.Sender_state.on_quack down_ss q with
-      | Ok rep when not rep.Q.Sender_state.stale ->
+      match Q.Quack_consumer.consume down q with
+      | Q.Quack_consumer.Decoded rep ->
           Proxy_window.on_quack win
             ~acked_pkts:(List.length rep.Q.Sender_state.acked)
             ~lost_indices:rep.Q.Sender_state.lost;
           pump ()
-      | Ok _ -> ()
-      | Error (`Threshold_exceeded _) ->
-          (* §3.3 unilateral resync: adopt the client's cumulative sums
-             as the new baseline — the designed recovery after an
+      | Q.Quack_consumer.Resynced abandoned ->
+          (* §3.3 unilateral resync: the client's cumulative sums are
+             the new baseline — the designed recovery after an
              eviction/re-admission cycle and after genuine decode
              overload alike. *)
           Obs.Metrics.Counter.incr ctx.counters.resyncs;
           Protocol.trace ctx
             (Obs.Trace.Resync { node = "proxy"; flow = ctx.flow; to_index = index });
-          let abandoned = Q.Sender_state.resync_to down_ss q in
           Proxy_window.on_quack win ~acked_pkts:0 ~lost_indices:abandoned;
           pump ()
-      | Error (`Config_mismatch _) -> ()
+      | Q.Quack_consumer.(Stale | Restarted _ | Replay | Mismatch) -> ()
     in
     let on_timer () =
       match cfg.upstream with

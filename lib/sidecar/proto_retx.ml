@@ -29,8 +29,8 @@ let validate cfg =
 let near cfg =
   validate cfg;
   let init (ctx : Protocol.ctx) =
-    let ss =
-      Q.Sender_state.create
+    let consumer =
+      Q.Quack_consumer.create ~replay_guard:true
         {
           Q.Sender_state.default_config with
           bits = cfg.bits;
@@ -52,9 +52,8 @@ let near cfg =
        local retransmission is still crossing the subpath. *)
     let resend_holdoff = cfg.subpath_rtt + Time.ms 1 in
     let last_resend : (int, Time.t) Hashtbl.t = Hashtbl.create 64 in
-    let guard = Q.Replay_guard.create () in
     let forward (p : Packet.t) =
-      Q.Sender_state.on_send ss ~id:p.Packet.id p;
+      Q.Quack_consumer.on_send consumer ~id:p.Packet.id p;
       if Hashtbl.length buffer >= cfg.buffer_pkts then begin
         match Queue.take_opt buffer_fifo with
         | Some old -> Hashtbl.remove buffer old
@@ -66,9 +65,14 @@ let near cfg =
         buffer_peak := Hashtbl.length buffer;
       ctx.forward p
     in
-    let on_quack_report q =
-      match Q.Sender_state.on_quack ss q with
-      | Ok rep when not rep.Q.Sender_state.stale ->
+    let resynced ~index =
+      Obs.Metrics.Counter.incr ctx.counters.resyncs;
+      Protocol.trace ctx
+        (Obs.Trace.Resync { node = cfg.near_addr; flow = ctx.flow; to_index = index })
+    in
+    let on_feedback ~index q =
+      match Q.Quack_consumer.consume consumer ~index q with
+      | Q.Quack_consumer.Decoded rep ->
           (* confirmed-past-the-far-proxy packets no longer need copies *)
           List.iter
             (fun (p : Packet.t) -> Hashtbl.remove buffer p.Packet.uid)
@@ -124,44 +128,26 @@ let near cfg =
               end
             end
           end
-      | Ok _ -> ()
-      | Error (`Threshold_exceeded _) ->
+      | Q.Quack_consumer.Resynced _ ->
           (* abandon and resync; the packets' fate falls back to e2e *)
-          Obs.Metrics.Counter.incr ctx.counters.resyncs;
-          Protocol.trace ctx
-            (Obs.Trace.Resync
-               {
-                 node = cfg.near_addr;
-                 flow = ctx.flow;
-                 to_index = Q.Replay_guard.last_index guard;
-               });
-          ignore (Q.Sender_state.resync_to ss q)
-      | Error (`Config_mismatch _) -> ()
-    in
-    let on_feedback ~index q =
-      match Q.Replay_guard.classify guard ~index q with
-      | Q.Replay_guard.Fresh -> on_quack_report q
-      | Q.Replay_guard.Replay ->
-          (* byte-identical re-delivery of an emission already
-             consumed: drop it. Resyncing here (as this seam did
-             before the guard) would roll the baseline back onto
-             stale sums on the say-so of one captured packet. *)
-          Obs.Metrics.Counter.incr ctx.counters.replays_dropped
-      | Q.Replay_guard.Regression ->
+          resynced ~index
+      | Q.Quack_consumer.Restarted abandoned ->
           (* quACK indices only regress with novel contents when the
              far proxy's receiver state restarted (eviction +
-             re-admission downstream): its counts would look
-             permanently stale, so adopt the fresh power sums as the
-             new baseline (§3.3) and drop the copies of whatever was
-             abandoned in flight — those losses fall back to
+             re-admission downstream): its fresh power sums are the new
+             baseline (§3.3), and the copies of whatever was abandoned
+             in flight are dropped — those losses fall back to
              end-to-end recovery. *)
-          Obs.Metrics.Counter.incr ctx.counters.resyncs;
-          Protocol.trace ctx
-            (Obs.Trace.Resync
-               { node = cfg.near_addr; flow = ctx.flow; to_index = index });
+          resynced ~index;
           List.iter
             (fun (p : Packet.t) -> Hashtbl.remove buffer p.Packet.uid)
-            (Q.Sender_state.resync_to ss q)
+            abandoned
+      | Q.Quack_consumer.Replay ->
+          (* byte-identical re-delivery of an emission already
+             consumed: resyncing onto its stale sums would hand one
+             captured packet the power to roll the baseline back *)
+          Obs.Metrics.Counter.incr ctx.counters.replays_dropped
+      | Q.Quack_consumer.(Stale | Mismatch) -> ()
     in
     let on_evict () =
       (* Copies are an optimisation, not custody: dropping them only
@@ -173,7 +159,7 @@ let near cfg =
     let info () =
       {
         Protocol.buffered = Hashtbl.length buffer;
-        outstanding = Q.Sender_state.outstanding ss;
+        outstanding = Q.Sender_state.outstanding (Q.Quack_consumer.state consumer);
         window_bytes = 0;
         upstream_interval = !quack_every;
         buffer_peak = !buffer_peak;

@@ -267,32 +267,184 @@ let test_leakage_shaping_blinds () =
     unshaped.L.observer_accuracy
     (max unshaped.L.observer_accuracy 0.75)
 
-let () =
-  Alcotest.run "adversary"
+(* ------------------------------------------------------------------ *)
+(* Same-seed golden pins: the four adversary arms and the two leakage
+   arms exactly as CI runs them ([runtime --scenario adversary --flows
+   16 --attack-rate 0.2] and [--scenario leakage --flows 16]), every
+   report field lossless (hex floats), plus both JSON schemas. The
+   relational checks above hold for many wrong answers; these pin the
+   answer itself across commits.
+
+   Regenerate (only when a behaviour change is intended):
+     dune exec test/adversary/test_adversary.exe -- gen <abs path to
+       test/adversary/golden> *)
+
+let b fmt v = Printf.sprintf fmt v
+
+let proxy_snap (p : Sidecar_runtime.Proxy.stats) =
+  let module P = Sidecar_runtime.Proxy in
+  String.concat "\n"
     [
-      ( "node",
-        [
-          Alcotest.test_case "rate 0 is a pass-through" `Quick test_passthrough;
-          Alcotest.test_case "forge: decodable lie, invalid tag" `Quick
-            test_forge;
-          Alcotest.test_case "replay: delayed, byte-identical, valid tag"
-            `Quick test_replay;
-          Alcotest.test_case "truncate: shorter sketch, stale tag" `Quick
-            test_truncate;
-          Alcotest.test_case "bit-flip: one bit, stale tag" `Quick test_bitflip;
-          Alcotest.test_case "bad rates rejected" `Quick test_bad_rates_rejected;
-        ] );
-      ( "scenario",
-        [
-          Alcotest.test_case "unauth arm admits attacker quACKs" `Quick
-            test_scenario_unauth_admits;
-          Alcotest.test_case "auth arm admits exactly zero" `Quick
-            test_scenario_auth_admits_zero;
-          Alcotest.test_case "damage monotone in attack rate" `Quick
-            test_scenario_damage_monotone;
-          Alcotest.test_case "zero rate, zero attacks" `Quick
-            test_scenario_rate0_is_clean;
-          Alcotest.test_case "shaping blinds the counting observer" `Quick
-            test_leakage_shaping_blinds;
-        ] );
+      b "proxy_data_packets=%d" p.P.data_packets;
+      b "proxy_degraded_packets=%d" p.P.degraded_packets;
+      b "proxy_buffer_bypass=%d" p.P.buffer_bypass;
+      b "proxy_quacks_rx=%d" p.P.quacks_rx;
+      b "proxy_degraded_quacks=%d" p.P.degraded_quacks;
+      b "proxy_quacks_tx=%d" p.P.quacks_tx;
+      b "proxy_quack_bytes=%d" p.P.quack_bytes;
+      b "proxy_freq_updates=%d" p.P.freq_updates;
+      b "proxy_resyncs=%d" p.P.resyncs;
+      b "proxy_flushed_on_evict=%d" p.P.flushed_on_evict;
     ]
+
+let ci_adversary = { A.default_config with A.flows = 16 }
+let ci_leakage = { L.default_config with L.flows = 16 }
+
+let adversary_arms =
+  [
+    ("unauth_rate0", { ci_adversary with A.auth = false; attack_rate = 0. });
+    ("unauth_rate_half", { ci_adversary with A.auth = false; attack_rate = 0.1 });
+    ("unauth", { ci_adversary with A.auth = false; attack_rate = 0.2 });
+    ("auth", { ci_adversary with A.auth = true; attack_rate = 0.2 });
+  ]
+
+let leakage_arms =
+  [
+    ("unshaped", { ci_leakage with L.shape = false });
+    ("shaped", { ci_leakage with L.shape = true });
+  ]
+
+let snap_adversary (name, cfg) () =
+  let r = A.run cfg in
+  String.concat "\n"
+    [
+      b "adversary %s (flows 16)" name;
+      b "auth=%b" r.A.auth;
+      b "attack_rate=%h" r.A.attack_rate;
+      b "flows=%d" r.A.flows;
+      b "completed=%d" r.A.completed;
+      b "wedged=%d" r.A.wedged;
+      b "fct_p50=%h" r.A.fct_p50;
+      b "fct_p95=%h" r.A.fct_p95;
+      b "fct_p99=%h" r.A.fct_p99;
+      b "fct_mean=%h" r.A.fct_mean;
+      b "data_delivered_bytes=%d" r.A.data_delivered_bytes;
+      proxy_snap r.A.proxy;
+      b "quacks_sealed=%d" r.A.quacks_sealed;
+      b "auth_bytes_overhead=%d" r.A.auth_bytes_overhead;
+      b "attacks_observed=%d" r.A.attacks.Adv.observed;
+      b "attacks_spoofed=%d" r.A.attacks.Adv.spoofs;
+      b "attacks_replayed=%d" r.A.attacks.Adv.replays;
+      b "attacks_truncated=%d" r.A.attacks.Adv.truncations;
+      b "attacks_bitflipped=%d" r.A.attacks.Adv.bitflips;
+      b "attacker_admitted=%d" r.A.attacker_admitted;
+      b "attacker_resyncs=%d" r.A.attacker_resyncs;
+      b "auth_rejected=%d" r.A.auth_rejected;
+      b "replays_dropped=%d" r.A.replays_dropped;
+      b "malformed=%d" r.A.malformed;
+      b "srv_resyncs=%d" r.A.srv_resyncs;
+      b "retransmissions=%d" r.A.retransmissions;
+      b "timeouts=%d" r.A.timeouts;
+      b "spurious_retx=%d" r.A.spurious_retx;
+      b "sim_end=%d" r.A.sim_end;
+    ]
+  ^ "\n"
+
+let snap_leakage (name, cfg) () =
+  let r = L.run cfg in
+  String.concat "\n"
+    [
+      b "leakage %s (flows 16)" name;
+      b "shaped=%b" r.L.shaped;
+      b "flows=%d" r.L.flows;
+      b "completed=%d" r.L.completed;
+      b "fct_p50=%h" r.L.fct_p50;
+      b "fct_p95=%h" r.L.fct_p95;
+      b "fct_p99=%h" r.L.fct_p99;
+      b "fct_mean=%h" r.L.fct_mean;
+      b "quacks_on_wire=%d" r.L.quacks_on_wire;
+      b "quack_bytes_on_wire=%d" r.L.quack_bytes_on_wire;
+      b "dummy_quacks=%d" r.L.dummy_quacks;
+      b "replays_dropped=%d" r.L.replays_dropped;
+      b "observer_accuracy=%h" r.L.observer_accuracy;
+      b "srv_resyncs=%d" r.L.srv_resyncs;
+      b "retransmissions=%d" r.L.retransmissions;
+      b "timeouts=%d" r.L.timeouts;
+      b "sim_end=%d" r.L.sim_end;
+    ]
+  ^ "\n"
+
+let schema_snap json_of () =
+  Obs.Json.to_string (Obs.Json.schema_of (json_of ())) ^ "\n"
+
+let fixtures =
+  List.map
+    (fun ((name, _) as arm) -> ("adversary_" ^ name, snap_adversary arm))
+    adversary_arms
+  @ List.map
+      (fun ((name, _) as arm) -> ("leakage_" ^ name, snap_leakage arm))
+      leakage_arms
+  @ [
+      ("schema_adversary", schema_snap (fun () -> A.json_report (A.run ci_adversary)));
+      ("schema_leakage", schema_snap (fun () -> L.json_report (L.run ci_leakage)));
+    ]
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let gen dir =
+  List.iter
+    (fun (name, snap) ->
+      let path = Filename.concat dir (name ^ ".txt") in
+      write_file path (snap ());
+      Printf.printf "wrote %s\n%!" path)
+    fixtures
+
+let golden_case (name, snap) =
+  Alcotest.test_case name `Slow (fun () ->
+      let expected = read_file (Filename.concat "golden" (name ^ ".txt")) in
+      check Alcotest.string
+        (name ^ " matches the committed same-seed snapshot")
+        expected (snap ()))
+
+let () =
+  match Array.to_list Sys.argv with
+  | _ :: "gen" :: dir :: _ -> gen dir
+  | _ ->
+      Alcotest.run "adversary"
+        [
+          ( "node",
+            [
+              Alcotest.test_case "rate 0 is a pass-through" `Quick test_passthrough;
+              Alcotest.test_case "forge: decodable lie, invalid tag" `Quick
+                test_forge;
+              Alcotest.test_case "replay: delayed, byte-identical, valid tag"
+                `Quick test_replay;
+              Alcotest.test_case "truncate: shorter sketch, stale tag" `Quick
+                test_truncate;
+              Alcotest.test_case "bit-flip: one bit, stale tag" `Quick test_bitflip;
+              Alcotest.test_case "bad rates rejected" `Quick test_bad_rates_rejected;
+            ] );
+          ( "scenario",
+            [
+              Alcotest.test_case "unauth arm admits attacker quACKs" `Quick
+                test_scenario_unauth_admits;
+              Alcotest.test_case "auth arm admits exactly zero" `Quick
+                test_scenario_auth_admits_zero;
+              Alcotest.test_case "damage monotone in attack rate" `Quick
+                test_scenario_damage_monotone;
+              Alcotest.test_case "zero rate, zero attacks" `Quick
+                test_scenario_rate0_is_clean;
+              Alcotest.test_case "shaping blinds the counting observer" `Quick
+                test_leakage_shaping_blinds;
+            ] );
+          ("golden", List.map golden_case fixtures);
+        ]

@@ -1472,6 +1472,198 @@ let test_replay_guard_keeps_its_own_copy () =
     (Replay_guard.classify g ~index:1 original = Replay_guard.Replay)
 
 (* ------------------------------------------------------------------ *)
+(* Quack_consumer: the §3.3 decode-else-resync rule, written once      *)
+
+(* The oracle is the server seam the runtime scenarios wrote out by
+   hand before the consumer existed (Sender_state + Replay_guard),
+   mapped onto the consumer's outcomes. Where that seam handed a
+   foreign quACK to [resync_to] it raised and aborted the run; the
+   consumer reports [Mismatch] there instead. *)
+let seam_oracle ss guard ~index q =
+  let resync wrap =
+    match Sender_state.resync_to ss q with
+    | abandoned -> wrap abandoned
+    | exception Invalid_argument _ -> Quack_consumer.Mismatch
+  in
+  let decode () =
+    match Sender_state.on_quack ss q with
+    | Ok rep when not rep.Sender_state.stale -> Quack_consumer.Decoded rep
+    | Ok _ -> Quack_consumer.Stale
+    | Error (`Threshold_exceeded _) -> resync (fun l -> Quack_consumer.Resynced l)
+    | Error (`Config_mismatch _) -> Quack_consumer.Mismatch
+  in
+  match guard with
+  | None -> decode ()
+  | Some g -> (
+      match Replay_guard.classify g ~index q with
+      | Replay_guard.Fresh -> decode ()
+      | Replay_guard.Replay -> Quack_consumer.Replay
+      | Replay_guard.Regression -> resync (fun l -> Quack_consumer.Restarted l))
+
+let consumer_t = 6
+let consumer_cfg = { Sender_state.default_config with Sender_state.threshold = consumer_t }
+
+(* Same multiset, parameters the sender does not share. *)
+let foreign_variant (q : Quack.t) k : Quack.t =
+  match k mod 4 with
+  | 0 -> { q with Quack.bits = 31 }
+  | 1 -> { q with Quack.modulus = q.Quack.modulus - 2 }
+  | 2 -> { q with Quack.sums = Array.sub q.Quack.sums 0 (consumer_t - 2) }
+  | _ -> { q with Quack.sums = Array.append q.Quack.sums [| 0; 0 |] }
+
+let outcome_kind = function
+  | Quack_consumer.Decoded _ -> "decoded"
+  | Quack_consumer.Stale -> "stale"
+  | Quack_consumer.Resynced _ -> "resynced"
+  | Quack_consumer.Restarted _ -> "restarted"
+  | Quack_consumer.Replay -> "replay"
+  | Quack_consumer.Mismatch -> "mismatch"
+
+(* One flow's quACK stream, fed to a consumer and to the oracle. Ops:
+   0 send 1-4 packets; 1 a fresh quACK with the newest 0..t+3 pending
+   packets still missing (and, sometimes, one lost for good); 2 a past
+   quACK's contents under a fresh index (stale); 3 a verbatim replay of
+   a recent emission; 4 of any past emission, beyond the guard's depth
+   once the history is long; 5 a receiver restart: novel sums under a
+   regressed index; 6 a quACK with foreign parameters, at a fresh or a
+   regressed index. *)
+let consumer_agrees ~guarded ops =
+  let consumer = Quack_consumer.create ~replay_guard:guarded consumer_cfg in
+  let ss = Sender_state.create consumer_cfg in
+  let guard = if guarded then Some (Replay_guard.create ()) else None in
+  let resyncs = ref 0 and mismatches = ref 0 in
+  let rx = ref (Receiver_state.create ~threshold:consumer_t ()) in
+  let pending = ref [] (* sent, not yet at the receiver; newest first *) in
+  let sent = ref 0 in
+  let index = ref 0 in
+  let history = ref [||] in
+  let deliver ~missing ~lose =
+    let in_flight = List.filteri (fun i _ -> i < missing) !pending in
+    let arriving = List.rev (List.filteri (fun i _ -> i >= missing) !pending) in
+    let arriving = if lose then List.tl arriving else arriving in
+    List.iter (fun id -> ignore (Receiver_state.on_receive !rx id)) arriving;
+    pending := in_flight
+  in
+  let past a = !history.(a mod Array.length !history) in
+  List.for_all
+    (fun (kind, a, b) ->
+      let n = Array.length !history in
+      let feed =
+        match kind with
+        | 0 ->
+            for _ = 0 to a mod 4 do
+              let id = Identifier.of_counter key ~bits:32 !sent in
+              Quack_consumer.on_send consumer ~id !sent;
+              Sender_state.on_send ss ~id !sent;
+              pending := id :: !pending;
+              incr sent
+            done;
+            None
+        | 2 when n > 0 ->
+            incr index;
+            Some (!index, snd (past a))
+        | 3 when n > 0 -> Some !history.(n - 1 - (a mod min n 3))
+        | 4 when n > 0 -> Some (past a)
+        | 5 ->
+            rx := Receiver_state.create ~threshold:consumer_t ();
+            deliver ~missing:(b mod (consumer_t + 4)) ~lose:false;
+            index := a mod (!index + 1);
+            Some (!index, Receiver_state.emit !rx)
+        | 6 ->
+            let q = foreign_variant (Receiver_state.emit !rx) b in
+            if a mod 2 = 0 then begin
+              incr index;
+              Some (!index, q)
+            end
+            else Some (a mod (!index + 1), q)
+        | _ ->
+            deliver
+              ~missing:(a mod (consumer_t + 4))
+              ~lose:(b mod 4 = 0 && List.length !pending > a mod (consumer_t + 4));
+            incr index;
+            Some (!index, Receiver_state.emit !rx)
+      in
+      match feed with
+      | None -> true
+      | Some (index, q) ->
+          history := Array.append !history [| (index, q) |];
+          let got = Quack_consumer.consume consumer ~index q in
+          let want = seam_oracle ss guard ~index q in
+          (match want with
+          | Quack_consumer.Resynced _ | Quack_consumer.Restarted _ -> incr resyncs
+          | Quack_consumer.Mismatch -> incr mismatches
+          | _ -> ());
+          let ok =
+            got = want
+            && Sender_state.outstanding_ids (Quack_consumer.state consumer)
+               = Sender_state.outstanding_ids ss
+            && Quack_consumer.resyncs consumer = !resyncs
+            && Quack_consumer.mismatches consumer = !mismatches
+            && Quack_consumer.replays consumer
+               = (match guard with Some g -> Replay_guard.replays g | None -> 0)
+          in
+          if not ok then
+            QCheck.Test.fail_reportf "op (%d,%d,%d) at index %d: consumer %s, oracle %s"
+              kind a b index (outcome_kind got) (outcome_kind want);
+          ok)
+    ops
+
+let qcheck_consumer =
+  let open QCheck in
+  let stream =
+    make
+      ~print:Print.(list (triple int int int))
+      Gen.(
+        list_size (int_range 1 160)
+          (triple (frequency [ (3, return 0); (3, return 1); (1, int_bound 6) ])
+             (int_bound 1000) (int_bound 1000)))
+  in
+  [
+    Test.make ~name:"consumer = hand-written seam (guarded)" ~count:200 stream
+      (consumer_agrees ~guarded:true);
+    Test.make ~name:"consumer = hand-written seam (unguarded)" ~count:200 stream
+      (consumer_agrees ~guarded:false);
+  ]
+
+let test_consumer_mismatch_is_dropped () =
+  List.iter
+    (fun guarded ->
+      let c = Quack_consumer.create ~replay_guard:guarded consumer_cfg in
+      let ids = ids_of_range key ~bits:32 0 5 in
+      List.iteri (fun i id -> Quack_consumer.on_send c ~id i) ids;
+      let before = Sender_state.outstanding_ids (Quack_consumer.state c) in
+      let q = quack_of_ids ~threshold:consumer_t ids in
+      (* width, modulus, and a threshold above the sender's: a smaller
+         receiver threshold is a legal configuration, not a mismatch *)
+      List.iteri
+        (fun k variant ->
+          let f = foreign_variant q variant in
+          (* a fresh index, then a regressed one the guard reads as a restart *)
+          check bool "fresh: Mismatch" true
+            (Quack_consumer.consume c ~index:(k + 2) f = Quack_consumer.Mismatch);
+          check bool "regressed: Mismatch" true
+            (Quack_consumer.consume c ~index:1 f = Quack_consumer.Mismatch);
+          check bool "resync: Mismatch" true
+            (Quack_consumer.resync c f = Quack_consumer.Mismatch))
+        [ 0; 1; 3 ];
+      check int_list "log untouched" before
+        (Sender_state.outstanding_ids (Quack_consumer.state c));
+      check int "every mismatch counted" 9 (Quack_consumer.mismatches c);
+      check int "no resync" 0 (Quack_consumer.resyncs c);
+      match Quack_consumer.consume c ~index:10 q with
+      | Quack_consumer.Decoded rep ->
+          check int_list "the genuine quACK still decodes" [ 0; 1; 2; 3; 4 ]
+            rep.Sender_state.acked
+      | o -> Alcotest.failf "genuine quACK: %s" (outcome_kind o))
+    [ false; true ]
+
+let test_consumer_guard_needs_index () =
+  let c = Quack_consumer.create ~replay_guard:true consumer_cfg in
+  Alcotest.check_raises "guarded consume without ~index"
+    (Invalid_argument "Quack_consumer.consume: a guarded consumer needs ~index")
+    (fun () -> ignore (Quack_consumer.consume c (quack_of_ids ~threshold:consumer_t [])))
+
+(* ------------------------------------------------------------------ *)
 (* IBF capacity characterisation                                       *)
 
 let test_ibf_capacity_hint_mostly_decodes () =
@@ -1705,6 +1897,14 @@ let () =
             test_replay_guard_keeps_its_own_copy;
         ]
         @ q qcheck_replay_guard );
+      ( "quack-consumer",
+        [
+          Alcotest.test_case "a mismatch is dropped, never raised" `Quick
+            test_consumer_mismatch_is_dropped;
+          Alcotest.test_case "a guarded consumer needs the index" `Quick
+            test_consumer_guard_needs_index;
+        ]
+        @ q qcheck_consumer );
       ( "ibf-capacity",
         [ Alcotest.test_case "hint mostly decodes" `Quick test_ibf_capacity_hint_mostly_decodes ] );
       ( "invariant",

@@ -658,62 +658,6 @@ let test_codel_on_link_controls_delay () =
   check bool "codel dropped at dequeue" true ((Link.stats codel).Link.dropped_aqm > 0)
 
 (* ------------------------------------------------------------------ *)
-(* Pacer                                                               *)
-
-let test_pacer_shapes_rate () =
-  let e = Engine.create () in
-  let arrivals = ref [] in
-  let pacer =
-    Pacer.create e ~rate_bps:12_000_000 ~burst_bytes:1500
-      ~send:(fun p -> arrivals := (Engine.now e, p.Packet.uid) :: !arrivals)
-      ()
-  in
-  (* 10 x 1500 B at 12 Mbit/s: 1 ms per packet after the initial burst *)
-  for i = 0 to 9 do
-    ignore (Pacer.offer pacer (mk_packet i))
-  done;
-  Engine.run e;
-  let times = List.rev_map fst !arrivals in
-  check int "all released" 10 (List.length times);
-  (* last release ~9 ms after the first (first is free via the burst) *)
-  (* sidelint: allow — ten arrivals just asserted above *)
-  let first = List.nth times 0 and last = List.nth times 9 in
-  check bool
-    (Printf.sprintf "spacing %.1f ms" (Sim_time.to_float_ms (last - first)))
-    true
-    (last - first >= Sim_time.ms 8 && last - first <= Sim_time.ms 10)
-
-let test_pacer_set_rate () =
-  let e = Engine.create () in
-  let count = ref 0 in
-  let pacer = Pacer.create e ~rate_bps:1_000 ~send:(fun _ -> incr count) () in
-  ignore (Pacer.offer pacer (mk_packet 0));
-  ignore (Pacer.offer pacer (mk_packet 1));
-  (* at 1 kbit/s the second packet would wait 12 s; speed up at t=1ms *)
-  Engine.schedule e ~delay:(Sim_time.ms 1) (fun () ->
-      Pacer.set_rate pacer 1_000_000_000);
-  Engine.run ~until:(Sim_time.ms 100) e;
-  check int "both released after speedup" 2 !count
-
-let test_pacer_capacity () =
-  let e = Engine.create () in
-  let released = ref 0 in
-  let pacer =
-    Pacer.create e ~rate_bps:1000 ~burst_bytes:1500 ~capacity_pkts:2
-      ~send:(fun _ -> incr released)
-      ()
-  in
-  (* the initial burst releases the first packet immediately; the next
-     two queue; the fourth exceeds the queue capacity *)
-  check bool "first accepted" true (Pacer.offer pacer (mk_packet 0));
-  check int "released by burst" 1 !released;
-  check bool "second accepted" true (Pacer.offer pacer (mk_packet 1));
-  check bool "third accepted" true (Pacer.offer pacer (mk_packet 2));
-  check bool "fourth refused" false (Pacer.offer pacer (mk_packet 3));
-  check int "backlog" 2 (Pacer.backlog pacer);
-  check int "backlog peak" 2 (Pacer.backlog_peak pacer)
-
-(* ------------------------------------------------------------------ *)
 (* Trace (typed events via Obs)                                        *)
 
 let test_trace_ring () =
@@ -986,12 +930,6 @@ let () =
           Alcotest.test_case "drops standing queue" `Quick test_codel_drops_standing_queue;
           Alcotest.test_case "recovers" `Quick test_codel_recovers;
           Alcotest.test_case "controls link delay" `Quick test_codel_on_link_controls_delay;
-        ] );
-      ( "pacer",
-        [
-          Alcotest.test_case "shapes rate" `Quick test_pacer_shapes_rate;
-          Alcotest.test_case "set rate" `Quick test_pacer_set_rate;
-          Alcotest.test_case "capacity" `Quick test_pacer_capacity;
         ] );
       ( "trace",
         [

@@ -156,6 +156,25 @@ let test_scenario_pure_e2e_baseline () =
     (r.Scenario.proxy.Proxy.degraded_packets > 0);
   check int "peak occupancy 0" 0 r.Scenario.peak_occupancy
 
+let test_scenario_no_completions () =
+  (* A horizon too short for any flow: every FCT statistic is "no
+     data" (nan, null in JSON), the mean included, rather than a fake
+     0 s next to null quantiles. *)
+  let r =
+    Scenario.run { Scenario.default_config with Scenario.flows = 5; until = Time.ms 1 }
+  in
+  check int "nothing completed" 0 r.Scenario.completed;
+  check bool "fct_mean is nan" true (Float.is_nan r.Scenario.fct_mean);
+  check bool "fct_p50 is nan" true (Float.is_nan r.Scenario.fct_p50);
+  match Obs.Json.of_string (Obs.Json.to_string (Scenario.json_report r)) with
+  | Error e -> Alcotest.fail e
+  | Ok json ->
+      List.iter
+        (fun field ->
+          check bool (field ^ " is null in JSON") true
+            (Obs.Json.member field json = Some Obs.Json.Null))
+        [ "fct_p50_s"; "fct_p95_s"; "fct_p99_s"; "fct_mean_s" ]
+
 let test_scenario_deterministic () =
   (* Same seed, 200 flows: structurally identical reports (ISSUE
      acceptance criterion). [compare] handles the nan fields. *)
@@ -402,6 +421,8 @@ let () =
         [
           Alcotest.test_case "completes under eviction" `Slow
             test_scenario_completes_under_eviction;
+          Alcotest.test_case "no completions: null FCT stats" `Quick
+            test_scenario_no_completions;
           Alcotest.test_case "capacity-0 pure e2e" `Slow
             test_scenario_pure_e2e_baseline;
           Alcotest.test_case "deterministic at 200 flows" `Slow

@@ -1,4 +1,5 @@
-(* Golden behaviour pins for the three single-flow sidecar protocols.
+(* Golden behaviour pins for the three single-flow sidecar protocols
+   and the two-flow fairness experiment.
 
    Each fixture under golden/ is a canonical rendering of the full
    default-config report (every field, exact integers, hex floats) for
@@ -83,6 +84,29 @@ let snap_rx () =
     ]
   ^ "\n"
 
+(* Two CC-division flows sharing one proxy (§2.1 fairness); the report
+   has no JSON form, so the text pin is the whole interface. *)
+let snap_fairness () =
+  let r = Fairness.run Fairness.default_config in
+  String.concat "\n"
+    ("fairness (Fairness.run default_config)"
+     :: List.concat
+          (Array.to_list
+             (Array.mapi
+                (fun i (f : Fairness.flow_result) ->
+                  [
+                    b "flow%d_fct=" i ^ span_opt f.Fairness.fct;
+                    b "flow%d_goodput_mbps=%h" i f.Fairness.goodput_mbps;
+                    b "flow%d_retransmissions=%d" i f.Fairness.retransmissions;
+                    b "flow%d_congestion_events=%d" i f.Fairness.congestion_events;
+                  ])
+                r.Fairness.flows))
+    @ [
+        b "jain_index=%h" r.Fairness.jain_index;
+        b "total_goodput_mbps=%h" r.Fairness.total_goodput_mbps;
+      ])
+  ^ "\n"
+
 (* ------------------------------------------------------------------ *)
 (* JSON schema pins: the machine-readable report shapes are part of
    the interface (CI's benchcheck and downstream replotting parse
@@ -96,6 +120,7 @@ let fixtures =
     ("proto_cc", snap_cc);
     ("proto_ar", snap_ar);
     ("proto_rx", snap_rx);
+    ("fairness", snap_fairness);
     ( "schema_cc",
       schema_snap (fun () ->
           Cc_division.json_report (Cc_division.run Cc_division.default_config)) );

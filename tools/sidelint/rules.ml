@@ -184,6 +184,14 @@ let effectful_ident = function
       Some "library code must not capture the console; take a formatter argument"
   | _ -> None
 
+(* The §3.3 decode-else-resync rule is written once, in
+   Sidecar_quack.Quack_consumer; library code outside lib/core calls
+   the consumer instead of driving the sender state by hand. *)
+let bypasses_consumer name =
+  match List.rev name with
+  | ("on_quack" | "resync_to") :: "Sender_state" :: _ -> true
+  | _ -> false
+
 (* ------------------------------------------------------------------ *)
 (* Sidespec passes: contracts, state escape, field provenance          *)
 
@@ -263,6 +271,12 @@ let check_structure ctx str =
               report ctx loc "totality"
                 "failwith in library code; raise Invalid_argument with context \
                  or return a Result";
+            (* one quACK consumer *)
+            if ctx.in_lib && (not ctx.in_core) && bypasses_consumer name then
+              report ctx loc "quack-consumer"
+                (String.concat "." name
+                ^ " outside lib/core re-implements the §3.3 decode-else-resync \
+                   rule; consume quACKs through Sidecar_quack.Quack_consumer");
             (* effect hygiene *)
             if ctx.in_lib then (
               match effectful_ident name with
