@@ -347,13 +347,6 @@ let fairness_cmd =
 (* ------------------------------------------------------------------ *)
 (* runtime: many flows through one bounded-table proxy                  *)
 
-let parse_datapath = function
-  | "ref" -> `Ref
-  | "flat" -> `Flat
-  | s ->
-      Format.eprintf "unknown datapath %S (expected ref|flat)@." s;
-      exit 2
-
 let parse_field = function
   | "modular" -> `Modular
   | "log" -> `Log
@@ -366,7 +359,7 @@ let parse_field = function
    omits the shard count — the CI invariance step [cmp]s the files
    from --shards 1 and --shards 4 byte for byte. *)
 let run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
-    ~arrivals ~quack_every ~datapath ~field ~bits ~seed ~json =
+    ~arrivals ~quack_every ~field ~bits ~seed ~json =
   let module Sr = Sidecar_runtime.Shard_runtime in
   let d = Sr.default_config in
   let policy =
@@ -384,8 +377,6 @@ let run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
       partitions;
       capacity = Option.value table ~default:d.Sr.capacity;
       policy;
-      datapath =
-        (match datapath with Some s -> parse_datapath s | None -> d.Sr.datapath);
       field = parse_field field;
       bits = Option.value bits ~default:d.Sr.bits;
       flows = Option.value flows ~default:d.Sr.flows;
@@ -552,144 +543,149 @@ let run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
 
 let runtime_cmd =
   let run protocol flows table eviction idle_ms seed far_loss per_flow
-      datapath field bits json trace replications jobs shards partitions
+      field bits json trace replications jobs shards partitions
       arrivals idle_epochs quack_every scenario migrate_after ctrl_delay crowd
       split attack_rate =
-    match scenario with
-    | Some family ->
-        let pool_jobs =
-          match shards with Some n -> check_jobs (Some n) | None -> check_jobs jobs
+    (* An inconsistent configuration (no flows, a shard without a
+       partition, a field too wide for its tables, ...) is a usage error
+       like a bad flag: print the library's message and exit 2. *)
+    try
+      match scenario with
+      | Some family ->
+          let pool_jobs =
+            match shards with Some n -> check_jobs (Some n) | None -> check_jobs jobs
+          in
+          let split =
+            match split with
+            | None -> None
+            | Some s -> (
+                match String.split_on_char ':' s with
+                | [ a; b ] -> (
+                    match (int_of_string_opt a, int_of_string_opt b) with
+                    | Some a, Some b when a >= 0 && b >= 0 && a + b > 0 ->
+                        Some (a, b)
+                    | _ ->
+                        Format.eprintf "bad --split %S (expected A:B)@." s;
+                        exit 2)
+                | _ ->
+                    Format.eprintf "bad --split %S (expected A:B)@." s;
+                    exit 2)
+          in
+          run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
+            ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate
+      | None ->
+      match shards with
+      | Some shards ->
+          run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
+            ~arrivals
+            ~quack_every:(Option.value quack_every ~default:16)
+            ~field ~bits ~seed ~json
+      | None ->
+      let jobs = check_jobs jobs in
+      if replications < 1 then begin
+        Format.eprintf "--replications must be at least 1@.";
+        exit 2
+      end;
+      let traced = set_trace trace in
+      let policy =
+        match Option.value eviction ~default:"lru" with
+        | "lru" -> Sidecar_runtime.Flow_table.Lru
+        | "idle" -> Sidecar_runtime.Flow_table.Idle idle_ms
+        | s ->
+            Format.eprintf "unknown eviction policy %S (expected lru|idle)@." s;
+            exit 2
+      in
+      let protocol =
+        match protocol with
+        | "cc" -> `Cc
+        | "ack" -> `Ack
+        | "retx" -> `Retx
+        | s ->
+            Format.eprintf "unknown protocol %S (expected cc|ack|retx)@." s;
+            exit 2
+      in
+      let flows = Option.value flows ~default:200 in
+      let table = Option.value table ~default:64 in
+      let field = parse_field field in
+      let bits =
+        match bits with
+        | Some b -> b
+        | None -> Sidecar_runtime.Scenario.default_config.Sidecar_runtime.Scenario.bits
+      in
+      let cfg run_seed =
+        {
+          Sidecar_runtime.Scenario.default_config with
+          Sidecar_runtime.Scenario.protocol;
+          flows;
+          table_flows = table;
+          policy;
+          field;
+          bits;
+          seed = run_seed;
+          far =
+            Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
+              ~loss:(if far_loss > 0. then Path.Bernoulli far_loss else Path.No_loss)
+              ();
+        }
+      in
+      let print_report r =
+        Format.printf "%a@." Sidecar_runtime.Scenario.pp_report r;
+        if per_flow then
+          Array.iter
+            (fun (fr : Sidecar_runtime.Scenario.flow_report) ->
+              Format.printf
+                "flow %3d: %4d units, start %a, %s, tx %d retx %d pto %d@."
+                fr.Sidecar_runtime.Scenario.flow fr.Sidecar_runtime.Scenario.units
+                Time.pp fr.Sidecar_runtime.Scenario.started_at
+                (if fr.Sidecar_runtime.Scenario.completed then
+                   Printf.sprintf "fct %.3fs" fr.Sidecar_runtime.Scenario.fct_s
+                 else "INCOMPLETE")
+                fr.Sidecar_runtime.Scenario.transmissions
+                fr.Sidecar_runtime.Scenario.retransmissions
+                fr.Sidecar_runtime.Scenario.timeouts)
+            r.Sidecar_runtime.Scenario.flows
+      in
+      if replications = 1 then begin
+        let r = Sidecar_runtime.Scenario.run (cfg seed) in
+        print_report r;
+        finish ~traced json (Sidecar_runtime.Scenario.json_report r)
+      end
+      else begin
+        let seeds = replication_seeds ~base:seed replications in
+        let reports =
+          Exec.map ?jobs
+            ~f:(fun _ctx s -> Sidecar_runtime.Scenario.run (cfg s))
+            seeds
         in
-        let split =
-          match split with
-          | None -> None
-          | Some s -> (
-              match String.split_on_char ':' s with
-              | [ a; b ] -> (
-                  match (int_of_string_opt a, int_of_string_opt b) with
-                  | Some a, Some b when a >= 0 && b >= 0 && a + b > 0 ->
-                      Some (a, b)
-                  | _ ->
-                      Format.eprintf "bad --split %S (expected A:B)@." s;
-                      exit 2)
-              | _ ->
-                  Format.eprintf "bad --split %S (expected A:B)@." s;
-                  exit 2)
+        List.iteri
+          (fun i (s, r) ->
+            Format.printf "--- replication %d (seed %d) ---@." i s;
+            print_report r)
+          (List.combine seeds reports);
+        let n = float_of_int replications in
+        let mean f =
+          List.fold_left
+            (fun acc (r : Sidecar_runtime.Scenario.report) -> acc +. f r)
+            0. reports
+          /. n
         in
-        run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
-          ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate
-    | None ->
-    match shards with
-    | Some shards ->
-        run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
-          ~arrivals
-          ~quack_every:(Option.value quack_every ~default:16)
-          ~datapath ~field ~bits ~seed ~json
-    | None ->
-    let jobs = check_jobs jobs in
-    if replications < 1 then begin
-      Format.eprintf "--replications must be at least 1@.";
+        Format.printf
+          "mean over %d replications: fct p50 %.3fs p95 %.3fs p99 %.3fs@."
+          replications
+          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p50))
+          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p95))
+          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p99));
+        finish ~traced json
+          (Obs.Json.Obj
+             [
+               ( "replications",
+                 Obs.Json.List
+                   (List.map Sidecar_runtime.Scenario.json_report reports) );
+             ])
+      end
+    with Invalid_argument msg ->
+      Format.eprintf "%s@." msg;
       exit 2
-    end;
-    let traced = set_trace trace in
-    let policy =
-      match Option.value eviction ~default:"lru" with
-      | "lru" -> Sidecar_runtime.Flow_table.Lru
-      | "idle" -> Sidecar_runtime.Flow_table.Idle idle_ms
-      | s ->
-          Format.eprintf "unknown eviction policy %S (expected lru|idle)@." s;
-          exit 2
-    in
-    let protocol =
-      match protocol with
-      | "cc" -> `Cc
-      | "ack" -> `Ack
-      | "retx" -> `Retx
-      | s ->
-          Format.eprintf "unknown protocol %S (expected cc|ack|retx)@." s;
-          exit 2
-    in
-    let flows = Option.value flows ~default:200 in
-    let table = Option.value table ~default:64 in
-    let datapath = parse_datapath (Option.value datapath ~default:"ref") in
-    let field = parse_field field in
-    let bits =
-      match bits with
-      | Some b -> b
-      | None -> Sidecar_runtime.Scenario.default_config.Sidecar_runtime.Scenario.bits
-    in
-    let cfg run_seed =
-      {
-        Sidecar_runtime.Scenario.default_config with
-        Sidecar_runtime.Scenario.protocol;
-        flows;
-        table_flows = table;
-        policy;
-        datapath;
-        field;
-        bits;
-        seed = run_seed;
-        far =
-          Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
-            ~loss:(if far_loss > 0. then Path.Bernoulli far_loss else Path.No_loss)
-            ();
-      }
-    in
-    let print_report r =
-      Format.printf "%a@." Sidecar_runtime.Scenario.pp_report r;
-      if per_flow then
-        Array.iter
-          (fun (fr : Sidecar_runtime.Scenario.flow_report) ->
-            Format.printf
-              "flow %3d: %4d units, start %a, %s, tx %d retx %d pto %d@."
-              fr.Sidecar_runtime.Scenario.flow fr.Sidecar_runtime.Scenario.units
-              Time.pp fr.Sidecar_runtime.Scenario.started_at
-              (if fr.Sidecar_runtime.Scenario.completed then
-                 Printf.sprintf "fct %.3fs" fr.Sidecar_runtime.Scenario.fct_s
-               else "INCOMPLETE")
-              fr.Sidecar_runtime.Scenario.transmissions
-              fr.Sidecar_runtime.Scenario.retransmissions
-              fr.Sidecar_runtime.Scenario.timeouts)
-          r.Sidecar_runtime.Scenario.flows
-    in
-    if replications = 1 then begin
-      let r = Sidecar_runtime.Scenario.run (cfg seed) in
-      print_report r;
-      finish ~traced json (Sidecar_runtime.Scenario.json_report r)
-    end
-    else begin
-      let seeds = replication_seeds ~base:seed replications in
-      let reports =
-        Exec.map ?jobs
-          ~f:(fun _ctx s -> Sidecar_runtime.Scenario.run (cfg s))
-          seeds
-      in
-      List.iteri
-        (fun i (s, r) ->
-          Format.printf "--- replication %d (seed %d) ---@." i s;
-          print_report r)
-        (List.combine seeds reports);
-      let n = float_of_int replications in
-      let mean f =
-        List.fold_left
-          (fun acc (r : Sidecar_runtime.Scenario.report) -> acc +. f r)
-          0. reports
-        /. n
-      in
-      Format.printf
-        "mean over %d replications: fct p50 %.3fs p95 %.3fs p99 %.3fs@."
-        replications
-        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p50))
-        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p95))
-        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p99));
-      finish ~traced json
-        (Obs.Json.Obj
-           [
-             ( "replications",
-               Obs.Json.List
-                 (List.map Sidecar_runtime.Scenario.json_report reports) );
-           ])
-    end
   in
   let flows =
     Arg.(value & opt (some int) None
@@ -727,14 +723,6 @@ let runtime_cmd =
          & info [ "replications" ] ~docv:"N"
              ~doc:"Independent replications with derived seeds (run via \
                    --jobs).")
-  in
-  let datapath =
-    Arg.(value & opt (some string) None
-         & info [ "datapath" ] ~docv:"DP"
-             ~doc:"Proxy receiver datapath: ref (authoritative per-flow \
-                   Receiver_state) or flat (slab-backed flat-array fast \
-                   path; reports are byte-identical). Default ref, or flat \
-                   with --shards.")
   in
   let shards =
     Arg.(value & opt (some int) None
@@ -826,7 +814,7 @@ let runtime_cmd =
        ~doc:"Many flows through bounded-table sidecar proxy state.")
     Term.(const run $ protocol $ flows $ table $ eviction $ idle_ms $ seed
           $ loss ~name:"far-loss" ~default:0.01 "Proxy-client loss probability."
-          $ per_flow $ datapath $ field $ bits $ json_arg $ trace_arg
+          $ per_flow $ field $ bits $ json_arg $ trace_arg
           $ replications $ jobs_arg $ shards $ partitions $ arrivals
           $ idle_epochs $ quack_every $ scenario $ migrate_after $ ctrl_delay
           $ crowd $ split $ attack_rate)

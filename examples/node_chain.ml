@@ -109,7 +109,6 @@ let () =
         quack_every;
         omit_count = false;
         field = None;
-        datapath = Protocol.Ref;
       }
   in
   let rcfg =
@@ -125,7 +124,6 @@ let () =
       near_addr = "proxyA";
       far_addr = "proxyB";
       field = None;
-      datapath = Protocol.Ref;
     }
   in
   ss :=

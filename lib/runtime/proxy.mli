@@ -3,8 +3,11 @@
 
     The proxy sits at a path junction and owns nothing but the
     demultiplexing: a bounded {!Flow_table} mapping the plaintext
-    [Packet.flow] tag to one protocol flow instance each, plus the
-    shared timer loop. What a tracked flow {e does} — CC division's
+    [Packet.flow] tag to one protocol flow instance each, its
+    admission accounting (metrics under ["proxy.<addr>"]; [Admit],
+    [Deny], [Evict] and [Release] trace events labelled
+    ["proxy.<addr>"] under the [Table] category), plus the shared
+    timer loop. What a tracked flow {e does} — CC division's
     observe/buffer/pace ({!Sidecar_protocols.Proto_cc}), ACK
     reduction's pure quACKing ({!Sidecar_protocols.Proto_ar}), the
     retransmitter's copy buffer ({!Sidecar_protocols.Proto_retx}) — is

@@ -38,7 +38,6 @@ type config = {
   target_missing : int;
   buffer_pkts : int;
   field : [ `Modular | `Log ];
-  datapath : [ `Ref | `Flat ];
   seed : int;
   until : Time.t;
 }
@@ -103,7 +102,6 @@ let default_config =
     target_missing = 2;
     buffer_pkts = 256;
     field = `Modular;
-    datapath = `Ref;
     seed = 1;
     until = Time.s 120;
   }
@@ -167,14 +165,6 @@ let run ?cost_clock (cfg : config) =
         Some
           (Sidecar_field.Log_field.make
              (Sidecar_field.Primes.field_for_bits cfg.bits))
-  in
-  (* Receive-path sketch backing at the proxies. Slabs are sized to
-     the flow table: eviction always releases a slot before the next
-     admission acquires one. *)
-  let datapath =
-    match cfg.datapath with
-    | `Ref -> Protocol.Ref
-    | `Flat -> Protocol.Flat { slots = cfg.table_flows; batch = 16 }
   in
 
   (* ---- clients ----------------------------------------------------- *)
@@ -274,7 +264,6 @@ let run ?cost_clock (cfg : config) =
                  upstream = Proto_cc.Every cfg.upstream_quack_every;
                  overflow = Proto_cc.Bypass;
                  field = field_mod;
-                 datapath;
                }),
           None )
     | `Ack ->
@@ -287,7 +276,6 @@ let run ?cost_clock (cfg : config) =
                  quack_every = cfg.upstream_quack_every;
                  omit_count = false;
                  field = field_mod;
-                 datapath;
                }),
           None )
     | `Retx ->
@@ -304,7 +292,6 @@ let run ?cost_clock (cfg : config) =
             near_addr = "proxyA";
             far_addr = "proxyB";
             field = field_mod;
-            datapath;
           }
         in
         (mk_proxy 1 (Proto_retx.near pcfg), Some (mk_proxy 2 (Proto_retx.far pcfg)))

@@ -67,10 +67,6 @@ type config = {
   field : [ `Modular | `Log ];
       (** sketch arithmetic at every sketch in the run ([`Log] =
           table-backed multiplication; requires small [bits], e.g. 16) *)
-  datapath : [ `Ref | `Flat ];
-      (** proxy receive-path sketch backing: boxed reference states or
-          one slab arena per proxy ({!Sidecar_protocols.Protocol.datapath});
-          reports are bit-identical either way *)
   seed : int;
   until : Netsim.Sim_time.t;
 }

@@ -20,11 +20,9 @@ type config = {
   partitions : int;
   capacity : int;  (* total table slots, split across partitions *)
   policy : policy;
-  datapath : [ `Ref | `Flat ];
   field : [ `Modular | `Log ];
   bits : int;
   threshold : int;
-  batch : int;
   flows : int;  (* total flows over the whole run *)
   arrivals_per_epoch : int;
   size_dist : Workload.size_dist;
@@ -47,11 +45,9 @@ let default_config =
     partitions = 16;
     capacity = 2048;
     policy = Idle_epochs 4;
-    datapath = `Flat;
     field = `Modular;
     bits = 32;
     threshold = 8;
-    batch = 16;
     flows = 240_000;
     arrivals_per_epoch = 6_000;
     size_dist = Workload.web_flows;
@@ -159,169 +155,26 @@ let fstate_append fl ~id ~units ~key =
   fl.keys.(fl.n) <- key;
   fl.n <- fl.n + 1
 
+(* One partition: its bounded table (flow key -> slab slot), its
+   active flows, and the fold of every quACK it emitted. *)
 type part = {
   pid : int;
   cap : int;
   fl : fstate;
-  cks : int ref;
-  (* one data packet: admit-or-find [flow], insert the identifier of
-     transmission [sent], and when [emit] fold a quACK snapshot into
-     [cks]. Returns whether the flow was tracked for this packet. *)
-  on_packet :
-    now:int -> flow:int -> key:Q.Identifier.key -> sent:int -> emit:bool -> bool;
-  complete : now:int -> int -> unit;  (* clean completion: drop state *)
-  sweep : now:int -> unit;
-  tstats : unit -> tstats;
-  occ : unit -> int;
-  peak : unit -> int;
+  tbl : Fp.Flat_table.t;
+  mutable cks : int;
 }
 
-let mk_ref_part cfg ~pid ~cap ~policy ~sink =
-  let metrics = Obs.Sink.metrics sink and trace = Obs.Sink.trace sink in
-  let field_mod =
-    match cfg.field with
-    | `Modular -> None
-    | `Log ->
-        Some
-          (Sidecar_field.Log_field.make
-             (Sidecar_field.Primes.field_for_bits cfg.bits))
-  in
-  let now_ref = ref 0 in
-  let demux =
-    Demux.create ~policy ~capacity:cap
-      ~label:(Printf.sprintf "part%d" pid)
-      ~metrics ~trace
-      ~now:(fun () -> !now_ref)
-      ()
-  in
-  let fresh () =
-    Q.Psum.create ~bits:cfg.bits ?field:field_mod ~threshold:cfg.threshold ()
-  in
-  let cks = ref 0 in
-  let bits = cfg.bits in
-  let on_packet ~now ~flow ~key ~sent ~emit =
-    now_ref := now;
-    let tracked = ref false in
-    Demux.data demux ~flow ~make:fresh
-      ~tracked:(fun ps ->
-        tracked := true;
-        Q.Psum.insert ps (Q.Identifier.of_counter key ~bits sent);
-        if emit then begin
-          let c = ref !cks in
-          Array.iter (fun v -> c := mix_checksum !c v) (Q.Psum.sums ps);
-          cks := mix_checksum !c (Q.Psum.count ps)
-        end)
-      ~degraded:(fun () -> ());
-    !tracked
-  in
-  let complete ~now flow =
-    now_ref := now;
-    ignore (Demux.release demux flow)
-  in
-  let sweep ~now =
-    now_ref := now;
-    ignore (Demux.sweep_idle demux)
-  in
-  let tstats () =
-    let s = Demux.table_stats demux in
-    {
-      admitted = s.Flow_table.admitted;
-      evicted_lru = s.Flow_table.evicted_lru;
-      evicted_idle = s.Flow_table.evicted_idle;
-      removed = s.Flow_table.removed;
-      denied = s.Flow_table.denied;
-      hits = s.Flow_table.hits;
-      misses = s.Flow_table.misses;
-    }
-  in
-  {
-    pid;
-    cap;
-    fl = fstate_make ();
-    cks;
-    on_packet;
-    complete;
-    sweep;
-    tstats;
-    occ = (fun () -> Demux.occupancy demux);
-    peak = (fun () -> Demux.peak_occupancy demux);
-  }
-
-let mk_flat_part cfg ~pid ~cap ~slab ~views ~scratch ~sink =
-  let policy =
-    match cfg.policy with
-    | Lru -> Fp.Flat_table.Lru
-    | Idle_epochs e -> Fp.Flat_table.Idle e
-  in
-  let release _flow slot = Fp.Slab.release slab slot in
-  let tbl =
-    Fp.Flat_table.create ~policy ~on_evict:release ~on_remove:release
-      ~capacity:cap ()
-  in
-  let fresh () = Fp.Slab.acquire slab in
-  let cks = ref 0 in
-  let data_packets = ref 0 and degraded_packets = ref 0 in
-  let bits = cfg.bits and threshold = cfg.threshold in
-  let on_packet ~now ~flow ~key ~sent ~emit =
-    let slot = Fp.Flat_table.admit_slot tbl ~now flow fresh in
-    if slot >= 0 then begin
-      incr data_packets;
-      let view = Array.unsafe_get views slot in
-      Fp.Psum_flat.insert view (Q.Identifier.of_counter key ~bits sent);
-      if emit then begin
-        Fp.Psum_flat.sums_into view scratch;
-        let c = ref !cks in
-        for i = 0 to threshold - 1 do
-          c := mix_checksum !c (Array.unsafe_get scratch i)
-        done;
-        cks := mix_checksum !c (Fp.Psum_flat.count view)
-      end;
-      true
-    end
-    else begin
-      incr degraded_packets;
-      false
-    end
-  in
-  (* Mirror [Demux]'s registration surface so a flat shard's sink
-     reads the same as a ref shard's. *)
-  let metrics = Obs.Sink.metrics sink in
-  let field f = Printf.sprintf "part%d.%s" pid f in
-  let src name read = Obs.Metrics.int_source metrics (field name) read in
+let tstats_of tbl =
   let s = Fp.Flat_table.stats tbl in
-  src "table.admitted" (fun () -> s.Fp.Flat_table.admitted);
-  src "table.evicted_lru" (fun () -> s.Fp.Flat_table.evicted_lru);
-  src "table.evicted_idle" (fun () -> s.Fp.Flat_table.evicted_idle);
-  src "table.removed" (fun () -> s.Fp.Flat_table.removed);
-  src "table.denied" (fun () -> s.Fp.Flat_table.denied);
-  src "table.hits" (fun () -> s.Fp.Flat_table.hits);
-  src "table.misses" (fun () -> s.Fp.Flat_table.misses);
-  src "table.occupancy" (fun () -> Fp.Flat_table.occupancy tbl);
-  src "table.peak_occupancy" (fun () -> Fp.Flat_table.peak_occupancy tbl);
-  src "data_packets" (fun () -> !data_packets);
-  src "degraded_packets" (fun () -> !degraded_packets);
   {
-    pid;
-    cap;
-    fl = fstate_make ();
-    cks;
-    on_packet;
-    complete = (fun ~now:_ flow -> ignore (Fp.Flat_table.remove tbl flow));
-    sweep = (fun ~now -> ignore (Fp.Flat_table.sweep_idle tbl ~now));
-    tstats =
-      (fun () ->
-        let s = Fp.Flat_table.stats tbl in
-        {
-          admitted = s.Fp.Flat_table.admitted;
-          evicted_lru = s.Fp.Flat_table.evicted_lru;
-          evicted_idle = s.Fp.Flat_table.evicted_idle;
-          removed = s.Fp.Flat_table.removed;
-          denied = s.Fp.Flat_table.denied;
-          hits = s.Fp.Flat_table.hits;
-          misses = s.Fp.Flat_table.misses;
-        });
-    occ = (fun () -> Fp.Flat_table.occupancy tbl);
-    peak = (fun () -> Fp.Flat_table.peak_occupancy tbl);
+    admitted = s.Fp.Flat_table.admitted;
+    evicted_lru = s.Fp.Flat_table.evicted_lru;
+    evicted_idle = s.Fp.Flat_table.evicted_idle;
+    removed = s.Fp.Flat_table.removed;
+    denied = s.Fp.Flat_table.denied;
+    hits = s.Fp.Flat_table.hits;
+    misses = s.Fp.Flat_table.misses;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -348,58 +201,58 @@ type shard = {
   sid : int;
   parts : part array;  (* owned partitions, ascending pid *)
   part_index : int array;  (* pid -> index in [parts], or -1 *)
-  sink : Obs.Sink.t;
+  views : Fp.Psum_flat.t array;  (* slot -> sketch view of the slab *)
+  acquire : unit -> int;  (* admission: a fresh slab slot *)
+  scratch : int array;  (* one quACK's power sums, on emission *)
   series : Obs.Epochs.t;
   cols : int array;  (* column indices, in [columns] order *)
   prev : (int * int * int) array;  (* admitted/evicted/denied snapshots *)
 }
 
+(* One slab per shard, sized to the sum of its partitions' capacities:
+   every table slot maps to one slab slot, and eviction or removal
+   hands the slot back before the next admission takes one. *)
 let make_shard cfg ~sid caps =
-  let sink = Obs.Sink.create () in
   let owned = ref [] in
   for p = cfg.partitions - 1 downto 0 do
     if p mod cfg.shards = sid then owned := p :: !owned
   done;
   let owned = Array.of_list !owned in
+  let slots = max 1 (Array.fold_left (fun a pid -> a + caps.(pid)) 0 owned) in
+  let field_mod =
+    match cfg.field with
+    | `Modular -> None
+    | `Log ->
+        Some
+          (Sidecar_field.Log_field.make
+             (Sidecar_field.Primes.field_for_bits cfg.bits))
+  in
+  let backend = match cfg.field with `Modular -> `Auto | `Log -> `Log in
+  let slab =
+    Fp.Slab.create ~bits:cfg.bits ?field:field_mod ~backend ~slots
+      ~threshold:cfg.threshold ()
+  in
+  (* this worker domain is the slab's owner for the whole run *)
+  Fp.Slab.bind_owner slab;
+  let policy =
+    match cfg.policy with
+    | Lru -> Fp.Flat_table.Lru
+    | Idle_epochs e -> Fp.Flat_table.Idle e
+  in
+  let release _flow slot = Fp.Slab.release slab slot in
   let parts =
-    match cfg.datapath with
-    | `Ref ->
-        let policy =
-          match cfg.policy with
-          | Lru -> Flow_table.Lru
-          | Idle_epochs e -> Flow_table.Idle e
-        in
-        Array.map
-          (fun pid -> mk_ref_part cfg ~pid ~cap:caps.(pid) ~policy ~sink)
-          owned
-    | `Flat ->
-        let slots =
-          max 1 (Array.fold_left (fun a pid -> a + caps.(pid)) 0 owned)
-        in
-        let field_mod =
-          match cfg.field with
-          | `Modular -> None
-          | `Log ->
-              Some
-                (Sidecar_field.Log_field.make
-                   (Sidecar_field.Primes.field_for_bits cfg.bits))
-        in
-        let backend = match cfg.field with `Modular -> `Auto | `Log -> `Log in
-        let slab =
-          Fp.Slab.create ~bits:cfg.bits ?field:field_mod ~backend
-            ~batch:cfg.batch ~slots ~threshold:cfg.threshold ()
-        in
-        (* this worker domain is the slab's owner for the whole run *)
-        Fp.Slab.bind_owner slab;
-        let views =
-          Array.init (Fp.Slab.slots slab) (fun slot ->
-              Fp.Psum_flat.of_slot slab ~slot)
-        in
-        let scratch = Array.make cfg.threshold 0 in
-        Array.map
-          (fun pid ->
-            mk_flat_part cfg ~pid ~cap:caps.(pid) ~slab ~views ~scratch ~sink)
-          owned
+    Array.map
+      (fun pid ->
+        {
+          pid;
+          cap = caps.(pid);
+          fl = fstate_make ();
+          tbl =
+            Fp.Flat_table.create ~policy ~on_evict:release ~on_remove:release
+              ~capacity:caps.(pid) ();
+          cks = 0;
+        })
+      owned
   in
   let part_index = Array.make cfg.partitions (-1) in
   Array.iteri (fun i p -> part_index.(p.pid) <- i) parts;
@@ -409,11 +262,35 @@ let make_shard cfg ~sid caps =
     sid;
     parts;
     part_index;
-    sink;
+    views =
+      Array.init (Fp.Slab.slots slab) (fun slot -> Fp.Psum_flat.of_slot slab ~slot);
+    acquire = (fun () -> Fp.Slab.acquire slab);
+    scratch = Array.make cfg.threshold 0;
     series;
     cols = Array.of_list (List.map (Obs.Epochs.col series) columns);
     prev = Array.map (fun _ -> (0, 0, 0)) parts;
   }
+
+(* One data packet: admit-or-find [flow], insert the identifier of
+   transmission [sent], and when [emit] fold a quACK snapshot into the
+   partition checksum. Returns whether the flow was tracked for this
+   packet. Allocates nothing. *)
+let on_packet sh part ~now ~flow ~key ~sent ~emit =
+  let slot = Fp.Flat_table.admit_slot part.tbl ~now flow sh.acquire in
+  if slot < 0 then false
+  else begin
+    let view = Array.unsafe_get sh.views slot in
+    Fp.Psum_flat.insert view (Q.Identifier.of_counter key ~bits:sh.cfg.bits sent);
+    if emit then begin
+      Fp.Psum_flat.sums_into view sh.scratch;
+      let c = ref part.cks in
+      for i = 0 to sh.cfg.threshold - 1 do
+        c := mix_checksum !c (Array.unsafe_get sh.scratch i)
+      done;
+      part.cks <- mix_checksum !c (Fp.Psum_flat.count view)
+    end;
+    true
+  end
 
 (* One epoch of one shard: idle sweep, this epoch's arrivals routed to
    owned partitions, then one packet per active flow. Returns the
@@ -434,7 +311,10 @@ let step sh ~epoch =
   and c_occupancy = sh.cols.(10) in
   (match cfg.policy with
   | Lru -> ()
-  | Idle_epochs _ -> Array.iter (fun part -> part.sweep ~now) sh.parts);
+  | Idle_epochs _ ->
+      Array.iter
+        (fun part -> ignore (Fp.Flat_table.sweep_idle part.tbl ~now))
+        sh.parts);
   (* arrivals: flow [f] arrives at epoch [f / arrivals_per_epoch];
      size and identifier key are pure functions of (seed, f), so the
      owning partition can generate them locally whatever [shards] is *)
@@ -471,7 +351,7 @@ let step sh ~epoch =
         let sent = fl.sent.(!j) in
         let emit = (sent + 1) mod cfg.quack_every = 0 in
         let was_tracked =
-          part.on_packet ~now ~flow ~key:fl.keys.(!j) ~sent ~emit
+          on_packet sh part ~now ~flow ~key:fl.keys.(!j) ~sent ~emit
         in
         fl.sent.(!j) <- sent + 1;
         incr packets;
@@ -484,7 +364,7 @@ let step sh ~epoch =
         fl.left.(!j) <- left;
         if left = 0 then begin
           incr completed;
-          part.complete ~now flow;
+          ignore (Fp.Flat_table.remove part.tbl flow);
           (* swap-remove; the swapped-in flow was not yet processed
              this epoch, so do not advance [j] *)
           let last = fl.n - 1 in
@@ -497,7 +377,7 @@ let step sh ~epoch =
         else incr j
       done;
       active := !active + fl.n;
-      occupancy := !occupancy + part.occ ())
+      occupancy := !occupancy + Fp.Flat_table.occupancy part.tbl)
     sh.parts;
   let note c v = Obs.Epochs.note sh.series ~epoch c v in
   note c_arrivals !arrivals;
@@ -508,13 +388,13 @@ let step sh ~epoch =
   note c_completed !completed;
   Array.iteri
     (fun k part ->
-      let s = part.tstats () in
-      let ev = s.evicted_lru + s.evicted_idle in
+      let s = Fp.Flat_table.stats part.tbl in
+      let ev = s.Fp.Flat_table.evicted_lru + s.Fp.Flat_table.evicted_idle in
       let pa, pe, pd = sh.prev.(k) in
-      note c_admitted (s.admitted - pa);
+      note c_admitted (s.Fp.Flat_table.admitted - pa);
       note c_evicted (ev - pe);
-      note c_denied (s.denied - pd);
-      sh.prev.(k) <- (s.admitted, ev, s.denied))
+      note c_denied (s.Fp.Flat_table.denied - pd);
+      sh.prev.(k) <- (s.Fp.Flat_table.admitted, ev, s.Fp.Flat_table.denied))
     sh.parts;
   note c_active !active;
   note c_occupancy !occupancy;
@@ -536,7 +416,6 @@ type report = {
   partitions : int;
   capacity : int;
   policy : policy;
-  datapath : [ `Ref | `Flat ];
   field : [ `Modular | `Log ];
   bits : int;
   threshold : int;
@@ -560,14 +439,9 @@ type report = {
   checksum : int;
   per_partition : part_summary array;  (* ascending pid *)
   series : Obs.Epochs.t;
-  sink : Obs.Sink.t;  (* per-shard sinks merged in shard order *)
 }
 
-type shard_out = {
-  out_parts : part_summary list;
-  out_series : Obs.Epochs.t;
-  out_sink : Obs.Sink.t;
-}
+type shard_out = { out_parts : part_summary list; out_series : Obs.Epochs.t }
 
 let summarize sh =
   {
@@ -578,13 +452,12 @@ let summarize sh =
              {
                pid = part.pid;
                part_capacity = part.cap;
-               part_stats = part.tstats ();
-               part_peak = part.peak ();
-               part_checksum = !(part.cks);
+               part_stats = tstats_of part.tbl;
+               part_peak = Fp.Flat_table.peak_occupancy part.tbl;
+               part_checksum = part.cks;
              })
            sh.parts);
     out_series = sh.series;
-    out_sink = sh.sink;
   }
 
 let run cfg =
@@ -614,8 +487,6 @@ let run cfg =
          shards *)
       let series = Obs.Epochs.create ~columns in
       List.iter (fun o -> Obs.Epochs.merge ~into:series o.out_series) outs;
-      let sink = Obs.Sink.create () in
-      List.iter (fun o -> Obs.Sink.merge ~into:sink o.out_sink) outs;
       let parts =
         List.sort
           (fun a b -> compare a.pid b.pid)
@@ -634,7 +505,6 @@ let run cfg =
         partitions = cfg.partitions;
         capacity = cfg.capacity;
         policy = cfg.policy;
-        datapath = cfg.datapath;
         field = cfg.field;
         bits = cfg.bits;
         threshold = cfg.threshold;
@@ -659,7 +529,6 @@ let run cfg =
         checksum;
         per_partition;
         series;
-        sink;
       })
 
 (* ------------------------------------------------------------------ *)
@@ -682,10 +551,9 @@ let json_tstats (s : tstats) =
     ]
 
 (* [deterministic] output is the invariance artifact: it must be
-   byte-identical for any [shards] (placement) and for either
-   datapath / field backend (implementation choices with equivalence
-   contracts), so those echoes and anything wall-clock-derived are
-   omitted. *)
+   byte-identical for any [shards] (placement) and for either field
+   backend (an implementation choice with an equivalence contract), so
+   those echoes and anything wall-clock-derived are omitted. *)
 let json_report ?(deterministic = false) r =
   let base =
     [
@@ -734,9 +602,6 @@ let json_report ?(deterministic = false) r =
     (if deterministic then base
      else
        ("shards", Obs.Json.Int r.shards)
-       :: ( "datapath",
-            Obs.Json.String
-              (match r.datapath with `Ref -> "ref" | `Flat -> "flat") )
        :: ( "field",
             Obs.Json.String
               (match r.field with `Modular -> "modular" | `Log -> "log") )
@@ -744,8 +609,7 @@ let json_report ?(deterministic = false) r =
 
 let pp_report ppf r =
   Format.fprintf ppf
-    "@[<v>sharded runtime: %d shard%s over %d partitions, %d-slot table (%s, \
-     %s datapath)@,\
+    "@[<v>sharded runtime: %d shard%s over %d partitions, %d-slot table (%s)@,\
      %d flows over %d epochs (%d arrivals/epoch): %d packets, peak %d \
      concurrent, peak occupancy %d@,\
      admission: %d admitted, %d denied, %d evicted (%.1f/epoch), %d released \
@@ -754,7 +618,6 @@ let pp_report ppf r =
     r.shards
     (if r.shards = 1 then "" else "s")
     r.partitions r.capacity (policy_string r.policy)
-    (match r.datapath with `Ref -> "ref" | `Flat -> "flat")
     r.flows r.epochs r.arrivals_per_epoch r.packets r.peak_concurrent
     r.peak_occupancy r.admitted r.denied r.evicted r.eviction_churn_per_epoch
     r.removed r.quacks r.tracked r.degraded r.checksum

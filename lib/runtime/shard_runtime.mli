@@ -16,9 +16,12 @@
     partitions by {!split_capacity}, and {e every} admission, eviction
     and denial is decided by a partition against its own slice. A
     shard is pure execution placement: worker [s] owns partitions
-    [{p | p mod shards = s}], with its own slab, sink and epoch
-    series — nothing on the packet path crosses a shard boundary, and
-    no decision consults [shards]. Per-shard series merge cell-wise
+    [{p | p mod shards = s}], with its own slab and epoch series —
+    nothing on the packet path crosses a shard boundary, and no
+    decision consults [shards]. Each partition's table is a
+    {!Sidecar_fastpath.Flat_table} mapping a flow to a slot of its
+    shard's {!Sidecar_fastpath.Slab}, so the packet path allocates
+    nothing. Per-shard series merge cell-wise
     ({!Obs.Epochs.merge}, integer cells), partition summaries sort by
     partition id, and the report checksum folds per-partition
     checksums in id order. Hence the headline contract: the
@@ -34,11 +37,9 @@ type config = {
   partitions : int;  (** fixed logical topology; must be >= [shards] *)
   capacity : int;  (** total table slots, split by {!split_capacity} *)
   policy : policy;
-  datapath : [ `Ref | `Flat ];
   field : [ `Modular | `Log ];
   bits : int;
   threshold : int;
-  batch : int;  (** flat-datapath pending batch, as {!Sidecar_fastpath.Slab} *)
   flows : int;
   arrivals_per_epoch : int;
   size_dist : Netsim.Workload.size_dist;
@@ -94,7 +95,6 @@ type report = {
   partitions : int;
   capacity : int;
   policy : policy;
-  datapath : [ `Ref | `Flat ];
   field : [ `Modular | `Log ];
   bits : int;
   threshold : int;
@@ -118,7 +118,6 @@ type report = {
   checksum : int;  (** per-partition checksums folded in partition order *)
   per_partition : part_summary array;  (** ascending partition id *)
   series : Obs.Epochs.t;  (** merged per-epoch counters *)
-  sink : Obs.Sink.t;  (** per-shard sinks merged in shard order *)
 }
 
 val run : config -> report
@@ -131,8 +130,8 @@ val run : config -> report
 val json_report : ?deterministic:bool -> report -> Obs.Json.t
 (** With [~deterministic:true] (the [BENCH_DETERMINISTIC=1] artifact)
     the config echoes allowed to vary without changing the output —
-    the shard count (pure placement) and the datapath / field backend
-    (implementation choices under equivalence contracts) — are
+    the shard count (pure placement) and the field backend (an
+    implementation choice under an equivalence contract) — are
     omitted, making the JSON the byte-comparable invariance witness.
     Nothing in the report is wall-clock-derived either way; timing is
     the caller's business. *)

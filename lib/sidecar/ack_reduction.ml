@@ -128,7 +128,6 @@ let run cfg =
         quack_every = cfg.quack_every;
         omit_count = cfg.omit_count;
         field = None;
-        datapath = Protocol.Ref;
       }
   in
 

@@ -124,7 +124,6 @@ let run cfg =
             };
         overflow = Proto_cc.Drop;
         field = None;
-        datapath = Protocol.Ref;
       }
   in
 

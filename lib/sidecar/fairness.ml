@@ -162,7 +162,6 @@ let run cfg =
           Proto_cc.Timer { interval = quack_interval; high_watermark = max_int };
         overflow = Proto_cc.Drop;
         field = None;
-        datapath = Protocol.Ref;
       }
   in
   let counters = Protocol.fresh_counters () in

@@ -1,4 +1,5 @@
 module Packet = Netsim.Packet
+module Q = Sidecar_quack
 
 type config = {
   bits : int;
@@ -7,30 +8,28 @@ type config = {
   quack_every : int;
   omit_count : bool;
   field : (module Sidecar_field.Modular.S) option;
-  datapath : Protocol.datapath;
 }
 
 let make cfg =
   if cfg.quack_every <= 0 then
     invalid_arg "Proto_ar.make: quack interval must be positive";
-  let rx_pool =
-    Rx_state.pool ~datapath:cfg.datapath ~bits:cfg.bits ?field:cfg.field
-      ?count_bits:cfg.count_bits ~threshold:cfg.threshold ()
-  in
   let init (ctx : Protocol.ctx) =
-    let rx = Rx_state.attach rx_pool in
+    let rx =
+      Q.Receiver_state.create ~bits:cfg.bits ?field:cfg.field
+        ?count_bits:cfg.count_bits ~threshold:cfg.threshold ()
+    in
     let every = ref cfg.quack_every in
     let since = ref 0 in
     let index = ref 0 in
     let on_data p =
-      rx.Rx_state.receive p.Packet.id;
+      ignore (Q.Receiver_state.on_receive rx p.Packet.id);
       incr since;
       if !since >= !every then begin
         since := 0;
         incr index;
         Protocol.send_quack ctx ~dst:Protocol.server_addr ~index:!index
           ~count_omitted:cfg.omit_count
-          (rx.Rx_state.emit ())
+          (Q.Receiver_state.emit rx)
       end;
       ctx.forward p
     in
@@ -42,8 +41,8 @@ let make cfg =
       on_feedback = (fun ~index:_ _ -> ());
       on_freq = (fun i -> every := max 1 i);
       on_timer = (fun () -> ());
-      on_evict = rx.Rx_state.release;
-      on_release = rx.Rx_state.release;
+      on_evict = (fun () -> ());
+      on_release = (fun () -> ());
       info;
     }
   in

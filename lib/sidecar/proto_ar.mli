@@ -13,7 +13,6 @@ type config = {
   omit_count : bool;  (** model the count-omitting wire encoding *)
   field : (module Sidecar_field.Modular.S) option;
       (** substitute same-width sketch arithmetic ([None] = default) *)
-  datapath : Protocol.datapath;  (** receive-path sketch backing *)
 }
 
 val make : config -> Protocol.t

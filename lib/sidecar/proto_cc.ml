@@ -18,7 +18,6 @@ type config = {
   upstream : upstream;
   overflow : overflow;
   field : (module Sidecar_field.Modular.S) option;
-  datapath : Protocol.datapath;
 }
 
 let make cfg =
@@ -42,16 +41,11 @@ let make cfg =
     | None -> base
     | Some count_bits -> { base with Q.Sender_state.count_bits }
   in
-  (* The upstream (receive-path) sketch follows the configured
-     datapath; the downstream sender sketch feeding the decoder stays
-     on the reference implementation (the authority rule — see
-     Protocol.datapath). *)
-  let rx_pool =
-    Rx_state.pool ~datapath:cfg.datapath ~bits:cfg.bits ?field:cfg.field
-      ?count_bits:cfg.count_bits ~threshold:cfg.threshold ()
-  in
   let init (ctx : Protocol.ctx) =
-    let up_rx = Rx_state.attach rx_pool in
+    let up_rx =
+      Q.Receiver_state.create ~bits:cfg.bits ?field:cfg.field
+        ?count_bits:cfg.count_bits ~threshold:cfg.threshold ()
+    in
     let down = Q.Quack_consumer.create ss_config in
     let down_ss = Q.Quack_consumer.state down in
     let win = Proxy_window.create ~wire:cfg.wire in
@@ -67,7 +61,7 @@ let make cfg =
       incr index;
       Protocol.send_quack ctx ~dst:Protocol.server_addr ~index:!index
         ~count_omitted:false
-        (up_rx.Rx_state.emit ())
+        (Q.Receiver_state.emit up_rx)
     in
     let rec pump () =
       let outstanding = Q.Sender_state.outstanding down_ss * cfg.wire in
@@ -90,7 +84,7 @@ let make cfg =
           ctx.forward head
     in
     let on_data p =
-      up_rx.Rx_state.receive p.Packet.id;
+      ignore (Q.Receiver_state.on_receive up_rx p.Packet.id);
       (match cfg.upstream with
       | Every _ ->
           incr since;
@@ -148,8 +142,7 @@ let make cfg =
       let flushed = Queue.length buffer in
       Queue.iter ctx.forward buffer;
       Queue.clear buffer;
-      Obs.Metrics.Counter.add ctx.counters.flushed_on_evict flushed;
-      up_rx.Rx_state.release ()
+      Obs.Metrics.Counter.add ctx.counters.flushed_on_evict flushed
     in
     let info () =
       {
@@ -166,9 +159,8 @@ let make cfg =
       on_freq = (fun i -> quack_every := max 1 i);
       on_timer;
       on_evict;
-      (* a cleanly-terminated flow has nothing buffered worth pacing;
-         just hand pooled state back *)
-      on_release = up_rx.Rx_state.release;
+      (* a cleanly-terminated flow has nothing buffered worth pacing *)
+      on_release = (fun () -> ());
       info;
     }
   in

@@ -32,9 +32,6 @@ type config = {
       (** substitute same-width sketch arithmetic ([None] = default);
           applies to both the upstream receiver sketch and the
           downstream decode state, which must agree with the client *)
-  datapath : Protocol.datapath;
-      (** backing for the upstream receiver sketch; the downstream
-          decode state stays on the reference implementation *)
 }
 
 val make : config -> Protocol.t

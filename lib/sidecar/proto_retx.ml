@@ -15,7 +15,6 @@ type config = {
   near_addr : string;
   far_addr : string;
   field : (module Sidecar_field.Modular.S) option;
-  datapath : Protocol.datapath;
 }
 
 let validate cfg =
@@ -171,8 +170,7 @@ let near cfg =
       on_freq = (fun _ -> ());
       on_timer = (fun () -> ());
       on_evict;
-      (* no pooled state on the near side: the copy buffer is plain
-         heap and the sender sketch always runs ref (authority rule) *)
+      (* the copy buffer is plain heap, dropped with the flow record *)
       on_release = (fun () -> ());
       info;
     }
@@ -181,24 +179,23 @@ let near cfg =
 
 let far cfg =
   validate cfg;
-  let rx_pool =
-    Rx_state.pool ~datapath:cfg.datapath ~bits:cfg.bits ?field:cfg.field
-      ~threshold:cfg.threshold ()
-  in
   let init (ctx : Protocol.ctx) =
-    let rx = Rx_state.attach rx_pool in
+    let rx =
+      Q.Receiver_state.create ~bits:cfg.bits ?field:cfg.field
+        ~threshold:cfg.threshold ()
+    in
     let since = ref 0 in
     let interval = ref cfg.initial_quack_every in
     let index = ref 0 in
     let emit () =
       since := 0;
-      let q = rx.Rx_state.emit () in
+      let q = Q.Receiver_state.emit rx in
       incr index;
       Protocol.send_quack ctx ~dst:cfg.near_addr ~index:!index
         ~count_omitted:false q
     in
     let on_data p =
-      rx.Rx_state.receive p.Packet.id;
+      ignore (Q.Receiver_state.on_receive rx p.Packet.id);
       incr since;
       if !since >= !interval then emit ();
       ctx.forward p
@@ -211,8 +208,8 @@ let far cfg =
       on_feedback = (fun ~index:_ _ -> ());
       on_freq = (fun i -> interval := i);
       on_timer = (fun () -> if !since > 0 then emit ());
-      on_evict = rx.Rx_state.release;
-      on_release = rx.Rx_state.release;
+      on_evict = (fun () -> ());
+      on_release = (fun () -> ());
       info;
     }
   in

@@ -26,9 +26,6 @@ type config = {
   far_addr : string;
   field : (module Sidecar_field.Modular.S) option;
       (** substitute same-width sketch arithmetic at both halves *)
-  datapath : Protocol.datapath;
-      (** backing for the far proxy's receiver sketch; the near
-          proxy's decode state stays on the reference implementation *)
 }
 
 val near : config -> Protocol.t

@@ -74,8 +74,6 @@ type flow = {
   info : unit -> info;
 }
 
-type datapath = Ref | Flat of { slots : int; batch : int }
-
 type timer_scope = Flow_active | Until
 type timer = { period : Time.span; scope : timer_scope }
 

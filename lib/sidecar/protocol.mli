@@ -87,21 +87,11 @@ type flow = {
   on_release : unit -> unit;
       (** The flow terminated cleanly and its state is being
           discarded (voluntary [Flow_table.remove], {e not}
-          eviction): return any pooled resources — a flat datapath's
-          slab slot — without eviction's flush/teardown semantics. *)
+          eviction): drop any state kept outside the flow record
+          (e.g. a registry entry) without eviction's flush/teardown
+          semantics. *)
   info : unit -> info;
 }
-
-(** Which per-flow sketch implementation a protocol instantiates.
-    [Ref] is the boxed {!Sidecar_quack.Receiver_state} — the default,
-    semantically authoritative path. [Flat] backs every flow's power
-    sums with one preallocated arena ([Sidecar_fastpath.Slab] of
-    [slots] slots, batched [batch] identifiers at a time): size
-    [slots] to the flow-table capacity so eviction always frees a
-    slot before the next admission. Feedback-path decode state
-    (sender sketches) stays on the reference implementation in both
-    modes. *)
-type datapath = Ref | Flat of { slots : int; batch : int }
 
 type timer_scope =
   | Flow_active  (** reschedule while the run continues and the flow is open *)

@@ -125,7 +125,6 @@ let run cfg =
       near_addr = "proxyA";
       far_addr = "proxyB";
       field = None;
-      datapath = Protocol.Ref;
     }
   in
   let outcome =

@@ -197,29 +197,6 @@ let test_scenario_deterministic () =
   check bool "different seed differs" true
     (compare r1.Scenario.flows r3.Scenario.flows <> 0)
 
-let test_scenario_datapath_differential () =
-  (* The flat datapath is an invisible optimisation: byte-identical
-     JSON reports against the boxed reference path, under the runtime
-     invariant twins. *)
-  let was = Sidecar_quack.Invariant.active () in
-  Sidecar_quack.Invariant.set_active true;
-  Fun.protect
-    ~finally:(fun () -> Sidecar_quack.Invariant.set_active was)
-    (fun () ->
-      let cfg =
-        {
-          Scenario.default_config with
-          Scenario.flows = 80;
-          table_flows = 24;
-          max_units = 50;
-          arrival_mean_s = 0.002;
-          until = Time.s 60;
-        }
-      in
-      let json dp = Obs.Json.to_string (Scenario.json_report (Scenario.run { cfg with Scenario.datapath = dp })) in
-      check Alcotest.string "ref and flat reports are byte-identical" (json `Ref)
-        (json `Flat))
-
 let test_scenario_field_differential () =
   (* Same residues through the log-table multiply: byte-identical
      reports at a table-friendly width. *)
@@ -240,6 +217,73 @@ let test_scenario_field_differential () =
   in
   check Alcotest.string "modular and log reports are byte-identical" (json `Modular)
     (json `Log)
+
+(* Admit/Deny/Evict/Release tallies per table label, labels sorted. *)
+let table_event_counts tr =
+  let tag = function
+    | Obs.Trace.Admit { table; _ } -> (table, 0)
+    | Obs.Trace.Deny { table; _ } -> (table, 1)
+    | Obs.Trace.Evict { table; _ } -> (table, 2)
+    | Obs.Trace.Release { table; _ } -> (table, 3)
+    | ev -> Alcotest.failf "non-table event %a" Obs.Trace.pp_event ev
+  in
+  let tagged = List.map (fun (_, ev) -> tag ev) (Obs.Trace.events tr) in
+  let labels = List.sort_uniq String.compare (List.map fst tagged) in
+  List.map
+    (fun l ->
+      (l, List.init 4 (fun k -> List.length (List.filter (( = ) (l, k)) tagged))))
+    labels
+
+let test_proxy_table_trace () =
+  (* Each table decision a proxy makes is also a trace event: per table
+     label, the Admit/Deny/Evict/Release counts equal the table's own
+     admitted/denied/evicted/removed statistics. *)
+  let row (s : Flow_table.stats) =
+    [
+      s.Flow_table.admitted;
+      s.Flow_table.denied;
+      s.Flow_table.evicted_lru + s.Flow_table.evicted_idle;
+      s.Flow_table.removed;
+    ]
+  in
+  let saved = Obs.Sink.default_trace_categories () in
+  Obs.Sink.set_default_trace_categories [ Obs.Trace.Table ];
+  Fun.protect
+    ~finally:(fun () -> Obs.Sink.set_default_trace_categories saved)
+    (fun () ->
+      List.iter
+        (fun (label, protocol, policy) ->
+          let r =
+            Scenario.run
+              {
+                Scenario.default_config with
+                Scenario.protocol;
+                flows = 40;
+                table_flows = 4;
+                policy;
+              }
+          in
+          let tr =
+            match Obs.Sink.last () with
+            | Some sink -> Obs.Sink.trace sink
+            | None -> Alcotest.fail "no sink"
+          in
+          check int (label ^ ": no event dropped") 0 (Obs.Trace.dropped tr);
+          let expected =
+            match r.Scenario.table2 with
+            | None -> [ ("proxy.proxy", row r.Scenario.table) ]
+            | Some t2 ->
+                [ ("proxy.proxyA", row r.Scenario.table); ("proxy.proxyB", row t2) ]
+          in
+          check
+            Alcotest.(list (pair string (list int)))
+            (label ^ ": admit/deny/evict/release per table")
+            expected (table_event_counts tr))
+        [
+          ("cc/lru", `Cc, Flow_table.Lru);
+          ("cc/idle", `Cc, Flow_table.Idle (Time.ms 100));
+          ("retx/idle", `Retx, Flow_table.Idle (Time.ms 100));
+        ])
 
 let test_wire_datapath_checksums () =
   (* The mechanism-level driver: both per-packet paths fold every
@@ -431,10 +475,10 @@ let () =
             test_scenario_idle_policy_runs;
           Alcotest.test_case "adaptive frequency" `Slow
             test_scenario_adaptive_frequency;
-          Alcotest.test_case "datapath differential (ref = flat)" `Slow
-            test_scenario_datapath_differential;
           Alcotest.test_case "field differential (modular = log)" `Slow
             test_scenario_field_differential;
+          Alcotest.test_case "table trace events = table stats" `Slow
+            test_proxy_table_trace;
           Alcotest.test_case "wire datapath checksums" `Quick
             test_wire_datapath_checksums;
           qt prop_eviction_never_corrupts;

@@ -1,7 +1,7 @@
 (* Sharded-runtime tests: the shard-count-invariance contract and the
    pieces it stands on — pure routing, the capacity remainder rule,
-   order-independent epoch merging — plus ref/flat datapath agreement
-   and the per-partition capacity regression. *)
+   order-independent epoch merging — plus golden reports pinned across
+   commits and the per-partition capacity regression. *)
 
 module Sr = Sidecar_runtime.Shard_runtime
 
@@ -91,10 +91,10 @@ let qcheck_epochs =
 (* ------------------------------------------------------------------ *)
 (* Shard-count invariance                                               *)
 
-(* Small enough to run four configurations x three shard counts in a
+(* Small enough to run two configurations x three shard counts in a
    unit test, large enough to exercise admission denial, eviction and
    completion churn (600 flows against 48 table slots). *)
-let small cfg_policy datapath =
+let small cfg_policy =
   {
     Sr.default_config with
     Sr.flows = 600;
@@ -102,7 +102,6 @@ let small cfg_policy datapath =
     capacity = 48;
     partitions = 8;
     policy = cfg_policy;
-    datapath;
     threshold = 4;
     quack_every = 4;
     min_units = 2;
@@ -116,41 +115,63 @@ let det_json cfg =
 
 let test_shard_invariance () =
   List.iter
-    (fun (policy, datapath, label) ->
-      let base = det_json { (small policy datapath) with Sr.shards = 1 } in
+    (fun (policy, label) ->
+      let base = det_json { (small policy) with Sr.shards = 1 } in
       List.iter
         (fun shards ->
           check string
             (Printf.sprintf "%s: shards=%d == shards=1" label shards)
             base
-            (det_json { (small policy datapath) with Sr.shards }))
+            (det_json { (small policy) with Sr.shards }))
         [ 2; 3; 4 ])
-    [
-      (Sr.Idle_epochs 3, `Flat, "idle/flat");
-      (Sr.Idle_epochs 3, `Ref, "idle/ref");
-      (Sr.Lru, `Flat, "lru/flat");
-      (Sr.Lru, `Ref, "lru/ref");
-    ]
+    [ (Sr.Idle_epochs 3, "idle"); (Sr.Lru, "lru") ]
 
-let test_ref_flat_agree () =
-  (* Same decisions, same sketches, same quACK checksums on both
-     datapaths; only the "datapath" config echo may differ. *)
+(* ------------------------------------------------------------------ *)
+(* Golden reports                                                       *)
+
+(* The deterministic report of [small] under three settings, pinned
+   across commits: both eviction policies, and the Log backend at 16
+   bits. A change that moves an admission decision, a sketch sum or an
+   epoch cell shows up here as a diff, where the invariance test above
+   (one build compared with itself) would still pass.
+
+   Regenerate (only when a behaviour change is intended and understood):
+     dune exec test/shard/test_shard.exe -- gen <abs path to test/shard/golden>
+*)
+let golden_configs =
+  [
+    ("idle3", small (Sr.Idle_epochs 3));
+    ("lru", small Sr.Lru);
+    ("idle3_log16", { (small (Sr.Idle_epochs 3)) with Sr.field = `Log; bits = 16 });
+  ]
+
+let golden_snap cfg =
+  Format.asprintf "%a@." Obs.Json.pp (Sr.json_report ~deterministic:true (Sr.run cfg))
+
+let read_file path =
+  let ic = open_in_bin path in
+  Fun.protect
+    ~finally:(fun () -> close_in_noerr ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
+
+let write_file path s =
+  let oc = open_out_bin path in
+  output_string oc s;
+  close_out oc
+
+let gen dir =
   List.iter
-    (fun policy ->
-      let r = Sr.run { (small policy `Ref) with Sr.shards = 2 } in
-      let f = Sr.run { (small policy `Flat) with Sr.shards = 2 } in
-      check int "checksum" r.Sr.checksum f.Sr.checksum;
-      check int "packets" r.Sr.packets f.Sr.packets;
-      check int "admitted" r.Sr.admitted f.Sr.admitted;
-      check int "evicted" r.Sr.evicted f.Sr.evicted;
-      check int "denied" r.Sr.denied f.Sr.denied;
-      check int "quacks" r.Sr.quacks f.Sr.quacks;
-      check int "peak_concurrent" r.Sr.peak_concurrent f.Sr.peak_concurrent;
-      check int "peak_occupancy" r.Sr.peak_occupancy f.Sr.peak_occupancy;
-      check string "per-epoch series"
-        (Obs.Json.to_string (Obs.Epochs.to_json r.Sr.series))
-        (Obs.Json.to_string (Obs.Epochs.to_json f.Sr.series)))
-    [ Sr.Idle_epochs 3; Sr.Lru ]
+    (fun (name, cfg) ->
+      let path = Filename.concat dir (name ^ ".json") in
+      write_file path (golden_snap cfg);
+      Printf.printf "wrote %s\n%!" path)
+    golden_configs
+
+let golden_case (name, cfg) =
+  Alcotest.test_case name `Quick (fun () ->
+      let expected = read_file (Filename.concat "golden" (name ^ ".json")) in
+      check string (name ^ " matches the committed report") expected
+        (golden_snap cfg))
 
 (* ------------------------------------------------------------------ *)
 (* Report structure                                                     *)
@@ -160,7 +181,7 @@ let test_per_partition_capacity () =
      the remainder rule, for a capacity not divisible by the partition
      count, and survive into the report unchanged. *)
   let cfg =
-    { (small (Sr.Idle_epochs 3) `Flat) with Sr.capacity = 50; partitions = 8 }
+    { (small (Sr.Idle_epochs 3)) with Sr.capacity = 50; partitions = 8 }
   in
   let r = Sr.run cfg in
   let caps = Array.map (fun p -> p.Sr.part_capacity) r.Sr.per_partition in
@@ -176,7 +197,7 @@ let test_per_partition_capacity () =
     r.Sr.per_partition
 
 let test_run_accounting () =
-  let r = Sr.run { (small (Sr.Idle_epochs 3) `Flat) with Sr.shards = 2 } in
+  let r = Sr.run { (small (Sr.Idle_epochs 3)) with Sr.shards = 2 } in
   check int "every flow completed" 0 r.Sr.unfinished;
   check int "completed = flows" r.Sr.flows r.Sr.completed;
   check int "packets split tracked/degraded" r.Sr.packets
@@ -195,12 +216,8 @@ let test_run_accounting () =
   let plain = Obs.Json.to_string (Sr.json_report r) in
   Alcotest.check Alcotest.bool "no shards field when deterministic" false
     (contains det "\"shards\"");
-  Alcotest.check Alcotest.bool "no datapath echo when deterministic" false
-    (contains det "\"datapath\"");
   Alcotest.check Alcotest.bool "shards field otherwise" true
-    (contains plain "\"shards\"");
-  Alcotest.check Alcotest.bool "datapath echo otherwise" true
-    (contains plain "\"datapath\"")
+    (contains plain "\"shards\"")
 
 let test_config_validation () =
   let expect_invalid label cfg =
@@ -208,7 +225,7 @@ let test_config_validation () =
     | exception Invalid_argument _ -> ()
     | _ -> Alcotest.fail (label ^ ": accepted")
   in
-  let ok = small (Sr.Idle_epochs 3) `Flat in
+  let ok = small (Sr.Idle_epochs 3) in
   expect_invalid "shards 0" { ok with Sr.shards = 0 };
   expect_invalid "more shards than partitions"
     { ok with Sr.shards = 9; partitions = 8 };
@@ -222,6 +239,9 @@ let test_config_validation () =
 
 let () =
   let q = List.map QCheck_alcotest.to_alcotest in
+  match Array.to_list Sys.argv with
+  | _ :: "gen" :: dir :: _ -> gen dir
+  | _ ->
   Alcotest.run "shard"
     [
       ( "topology",
@@ -233,8 +253,6 @@ let () =
         [
           Alcotest.test_case "report byte-identical for shards 1..4" `Quick
             test_shard_invariance;
-          Alcotest.test_case "ref and flat datapaths agree" `Quick
-            test_ref_flat_agree;
         ] );
       ( "report",
         [
@@ -243,4 +261,5 @@ let () =
           Alcotest.test_case "accounting identities" `Quick test_run_accounting;
           Alcotest.test_case "config validation" `Quick test_config_validation;
         ] );
+      ("golden", List.map golden_case golden_configs);
     ]
