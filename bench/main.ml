@@ -14,11 +14,14 @@
    are merged in submission order, so every table and JSON row is
    identical for any N. The quACK microbenchmarks (table2/fig5/fig6)
    time one point at a time on the calling domain whatever N is.
-   BENCH_RUNTIME_FLOWS caps the runtime section's flow count and
-   BENCH_SHARD_FLOWS scales the runtime_shard scenarios.
-   BENCH_DETERMINISTIC=1 drops wall-clock measurement from the runtime
-   section (no cost_clock, no speedup row) so BENCH_RUNTIME.json is
-   byte-identical across runs and job counts — what CI diffs.
+   BENCH_RUNTIME_FLOWS caps the runtime section's flow count,
+   BENCH_SHARD_FLOWS scales the runtime_shard scenarios and
+   BENCH_ADVERSARY_FLOWS caps runtime_adversary's; a value that is not
+   an int exits 2 before any section runs.
+   BENCH_DETERMINISTIC=1 (any value but "" and "0") drops wall-clock
+   measurement from the runtime section (no cost_clock, no speedup
+   row) so BENCH_RUNTIME.json is byte-identical across runs and job
+   counts — what CI diffs.
    Set BENCH_CSV_DIR=<dir> to also write the figure data as CSV.
    Sections that measure the quACK itself (table2/fig5/fig6) append
    rows to BENCH_QUACK.json, the runtime sections to
@@ -40,6 +43,30 @@ let deterministic =
   match Sys.getenv_opt "BENCH_DETERMINISTIC" with
   | None | Some "" | Some "0" -> false
   | Some _ -> true
+
+(* The flow caps CI smoke steps set, parsed once at start-up whatever
+   sections run: a malformed value (say BENCH_SHARD_FLOWS=24k) is a
+   usage error like a bad --jobs, never a silent fall-back to the
+   full-size default. Set values are clamped to [min]. *)
+let env_cap name ~min ~default =
+  match Sys.getenv_opt name with
+  | None | Some "" -> default
+  | Some s -> (
+      match int_of_string_opt s with
+      | Some n -> max min n
+      | None ->
+          Printf.eprintf "bench: invalid %s value %S (want an int)\n" name s;
+          exit 2)
+
+(* BENCH_RUNTIME_FLOWS caps the runtime sweep, BENCH_SHARD_FLOWS
+   scales the runtime_shard scenarios and BENCH_ADVERSARY_FLOWS caps
+   the adversary/leakage per-arm flow count. *)
+let runtime_flows_cap = env_cap "BENCH_RUNTIME_FLOWS" ~min:8 ~default:200
+let shard_flows = env_cap "BENCH_SHARD_FLOWS" ~min:4_000 ~default:240_000
+
+let adversary_flows =
+  env_cap "BENCH_ADVERSARY_FLOWS" ~min:8
+    ~default:Sidecar_runtime.Adversary.default_config.Sidecar_runtime.Adversary.flows
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmark driver (Bechamel, OLS over the monotonic clock).   *)
@@ -639,12 +666,7 @@ let short_flows pool =
 let runtime pool =
   let module Scenario = Sidecar_runtime.Scenario in
   let module Flow_table = Sidecar_runtime.Flow_table in
-  (* BENCH_RUNTIME_FLOWS caps the sweep (CI smoke runs set it low). *)
-  let flows_cap =
-    match Sys.getenv_opt "BENCH_RUNTIME_FLOWS" with
-    | Some s -> ( try max 8 (int_of_string s) with Failure _ -> 200)
-    | None -> 200
-  in
+  let flows_cap = runtime_flows_cap in
   let run ?(protocol = `Cc) ~flows ~table () =
     let cfg =
       {
@@ -1175,14 +1197,7 @@ let runtime_adversary pool =
   let module A = Sidecar_runtime.Adversary in
   let module L = Sidecar_runtime.Leakage in
   section "Runtime: adversary + leakage scenario families";
-  (* BENCH_ADVERSARY_FLOWS caps the per-arm flow count (CI smoke). *)
-  let flows =
-    match Sys.getenv_opt "BENCH_ADVERSARY_FLOWS" with
-    | Some s -> (
-        try max 8 (int_of_string s)
-        with Failure _ -> A.default_config.A.flows)
-    | None -> A.default_config.A.flows
-  in
+  let flows = adversary_flows in
   let fct_fields ~p50 ~p95 ~p99 ~mean =
     [
       ("fct_p50_s", Obs.Json.Float p50);
@@ -1316,11 +1331,7 @@ let runtime_adversary pool =
 let runtime_shard _pool =
   let module Sr = Sidecar_runtime.Shard_runtime in
   section "Runtime: sharded always-on flow runtime (shards 1/2/4)";
-  let base_flows =
-    match Sys.getenv_opt "BENCH_SHARD_FLOWS" with
-    | Some s -> ( try max 4_000 (int_of_string s) with Failure _ -> 240_000)
-    | None -> 240_000
-  in
+  let base_flows = shard_flows in
   let scenarios : (string * Sr.config) list =
     [
       ( "sustained",

@@ -347,6 +347,18 @@ let fairness_cmd =
 (* ------------------------------------------------------------------ *)
 (* runtime: many flows through one bounded-table proxy                  *)
 
+(* runtime runs one of three modes: the event-driven scenario, the
+   sharded runtime (--shards) or a scenario family (--scenario). A
+   flag the chosen mode never reads is a usage error, not a silent
+   no-op: [reject_unread mode flags] exits 2 naming the first flag of
+   [flags] that was set. *)
+let reject_unread mode flags =
+  match List.find_opt snd flags with
+  | Some (flag, _) ->
+      Format.eprintf "--%s is not read in %s mode@." flag mode;
+      exit 2
+  | None -> ()
+
 let parse_field = function
   | "modular" -> `Modular
   | "log" -> `Log
@@ -387,7 +399,12 @@ let run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
   in
   let r = Sr.run cfg in
   Format.printf "%a@." Sr.pp_report r;
-  let deterministic = Sys.getenv_opt "BENCH_DETERMINISTIC" = Some "1" in
+  (* bench/main.ml's rule: any value but unset, "" and "0" is on *)
+  let deterministic =
+    match Sys.getenv_opt "BENCH_DETERMINISTIC" with
+    | None | Some "" | Some "0" -> false
+    | Some _ -> true
+  in
   finish ~traced:false json (Sr.json_report ~deterministic r)
 
 (* runtime --scenario handover|multipath: the §5 mobility and
@@ -549,9 +566,31 @@ let runtime_cmd =
     (* An inconsistent configuration (no flows, a shard without a
        partition, a field too wide for its tables, ...) is a usage error
        like a bad flag: print the library's message and exit 2. *)
+    let event_only =
+      [
+        ("trace", trace <> None);
+        ("per-flow", per_flow);
+        ("replications", replications <> None);
+      ]
+    and shards_only =
+      [
+        ("partitions", partitions <> None);
+        ("arrivals", arrivals <> None);
+        ("idle-epochs", idle_epochs <> None);
+      ]
+    and scenario_only =
+      [
+        ("migrate-after", migrate_after <> None);
+        ("ctrl-delay", ctrl_delay <> None);
+        ("crowd", crowd <> None);
+        ("split", split <> None);
+        ("attack-rate", attack_rate <> None);
+      ]
+    in
     try
       match scenario with
       | Some family ->
+          reject_unread "--scenario" (event_only @ shards_only);
           let pool_jobs =
             match shards with Some n -> check_jobs (Some n) | None -> check_jobs jobs
           in
@@ -576,12 +615,19 @@ let runtime_cmd =
       | None ->
       match shards with
       | Some shards ->
-          run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
+          reject_unread "--shards" (event_only @ scenario_only);
+          run_sharded ~shards
+            ~partitions:(Option.value partitions ~default:16)
+            ~flows ~table ~eviction
+            ~idle_epochs:(Option.value idle_epochs ~default:4)
             ~arrivals
             ~quack_every:(Option.value quack_every ~default:16)
             ~field ~bits ~seed ~json
       | None ->
+      reject_unread "event-driven"
+        (shards_only @ scenario_only @ [ ("quack-every", quack_every <> None) ]);
       let jobs = check_jobs jobs in
+      let replications = Option.value replications ~default:1 in
       if replications < 1 then begin
         Format.eprintf "--replications must be at least 1@.";
         exit 2
@@ -719,7 +765,7 @@ let runtime_cmd =
                    (ACK reduction), or retx (in-network retransmission pair).")
   in
   let replications =
-    Arg.(value & opt int 1
+    Arg.(value & opt (some' ~none:1 int) None
          & info [ "replications" ] ~docv:"N"
              ~doc:"Independent replications with derived seeds (run via \
                    --jobs).")
@@ -732,7 +778,7 @@ let runtime_cmd =
                    deterministic report is byte-identical for any $(docv).")
   in
   let partitions =
-    Arg.(value & opt int 16
+    Arg.(value & opt (some' ~none:16 int) None
          & info [ "partitions" ] ~docv:"P"
              ~doc:"Fixed logical flow-table partitions (admission and \
                    eviction are decided per partition, so results never \
@@ -744,7 +790,7 @@ let runtime_cmd =
              ~doc:"Flow arrivals per epoch for --shards mode (default 6000).")
   in
   let idle_epochs =
-    Arg.(value & opt int 4
+    Arg.(value & opt (some' ~none:4 int) None
          & info [ "idle-epochs" ] ~docv:"E"
              ~doc:"Idle span, in epochs, for --shards mode's idle policy.")
   in
@@ -752,7 +798,7 @@ let runtime_cmd =
     Arg.(value & opt (some int) None
          & info [ "quack-every" ] ~docv:"K"
              ~doc:"A tracked flow emits a quACK every $(docv)-th packet \
-                   (--shards mode).")
+                   (--shards and --scenario modes).")
   in
   let field =
     Arg.(value & opt string "modular"

@@ -1,6 +1,6 @@
 module Modular = Sidecar_field.Modular
 module Primes = Sidecar_field.Primes
-module Log_field = Sidecar_field.Log_field
+module Kernel = Sidecar_quack.Kernel
 module Invariant = Sidecar_quack.Invariant
 
 [@@@sidespec
@@ -9,45 +9,21 @@ module Invariant = Sidecar_quack.Invariant
    the free list while marked live"]
 [@@@sidespec
   "slab-clean-handoff: a released slot is scrubbed before it can be \
-   re-acquired — its power sums, pending batch and count are all zero \
-   when acquire hands it out"]
+   re-acquired — its power sums and count are all zero when acquire \
+   hands it out"]
 [@@@sidespec
   "slab-owner: a slab bound to a shard's domain is only ever acquired \
    from or released on that domain — shards never share an arena, so \
    the packet path needs no locking"]
-
-type vec = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-
-type arith =
-  | Fast32
-  | Fold of { p : int; b : int; c : int; mask : int }
-  | Barrett of { p : int; invp : float }
-  | Log of { log_ : int array; antilog : int array; p : int }
-  | Generic of {
-      p : int;
-      add : int -> int -> int;
-      sub : int -> int -> int;
-      mul : int -> int -> int;
-    }
-
-type backend = [ `Auto | `Barrett | `Log | `Generic ]
+[@@@sidespec
+  "flatpsum-in-field: every insert and every remove leaves all of the \
+   slot's power sums inside [0, modulus)"]
 
 type t = {
   slots : int;
   threshold : int;
-  batch : int;
-  bits : int;
-  modulus : int;
-  field : (module Modular.S);
-  arith : arith;
-  sums : vec;  (* slots * threshold *)
-  pending : vec;  (* slots * batch *)
-  (* flush scratch (running powers / pending snapshot): plain [int
-     array]s, not bigarrays — the flush inner loops index them once
-     per multiply and OCaml's native-array access is one load cheaper *)
-  scratch : int array;  (* batch *)
-  pend_scratch : int array;  (* batch *)
-  npending : int array;  (* per slot *)
+  kernel : Kernel.t;
+  rows : int array array;  (* slot -> its [threshold] power sums *)
   counts : int array;  (* per slot *)
   free : int array;  (* stack of free slot ids *)
   mutable nfree : int;
@@ -55,73 +31,19 @@ type t = {
   mutable owner : int option;  (* Domain.id of the owning shard, if bound *)
 }
 
-let p32 = 4294967291
-
-let generic_arith (module F : Modular.S) =
-  Generic { p = F.modulus; add = F.add; sub = F.sub; mul = F.mul }
-
-let select_arith backend field =
-  let module F = (val field : Modular.S) in
-  let p = F.modulus in
-  let b = F.bits in
-  match backend with
-  | `Auto ->
-      if p = p32 then Fast32
-      else if
-        (* p = 2^b - c with small c: 2^b == c (mod p), so an integer
-           shift-multiply-add fold replaces division entirely. Gate on
-           16 <= b <= 30 (products of pseudo-reduced factors stay
-           below 2^62) and c <= 63: a fixed number of unconditional
-           folds lands any product or lazy sum below 2^b (see
-           Psum_flat's flush arm). *)
-        b >= 16 && b <= 30
-        && (let c = (1 lsl b) - p in
-            c >= 1 && c <= 63)
-      then Fold { p; b; c = (1 lsl b) - p; mask = (1 lsl b) - 1 }
-      else if p < 1 lsl 26 then Barrett { p; invp = 1. /. float_of_int p }
-      else generic_arith field
-  | `Barrett ->
-      if p >= 1 lsl 26 then
-        invalid_arg "Slab.create: Barrett backend needs modulus < 2^26"
-      else Barrett { p; invp = 1. /. float_of_int p }
-  | `Log ->
-      let log_, antilog = Log_field.tables field in
-      Log { log_; antilog; p }
-  | `Generic -> generic_arith field
-
-let create ?(bits = 32) ?field ?(backend = `Auto) ?(batch = 16) ~slots
-    ~threshold () =
+let create ?(bits = 32) ?field ~slots ~threshold () =
   if slots <= 0 then invalid_arg "Slab.create: slots must be positive";
   if threshold < 0 then invalid_arg "Slab.create: negative threshold";
-  if batch <= 0 then invalid_arg "Slab.create: batch must be positive";
-  (* The flush loops accumulate k + 1 in-field terms before reducing;
-     4096 keeps every backend's lazy sum inside its reducer's domain. *)
-  if batch > 4096 then invalid_arg "Slab.create: batch must be <= 4096";
   let field =
     match field with Some f -> f | None -> Primes.field_for_bits bits
   in
   let module F = (val field) in
   if F.bits <> bits then invalid_arg "Slab.create: field width mismatch";
-  let mk len = Bigarray.Array1.create Bigarray.int Bigarray.c_layout len in
-  let sums = mk (max 1 (slots * threshold)) in
-  let pending = mk (slots * batch) in
-  let scratch = Array.make batch 0 in
-  let pend_scratch = Array.make batch 0 in
-  Bigarray.Array1.fill sums 0;
-  Bigarray.Array1.fill pending 0;
   {
     slots;
     threshold;
-    batch;
-    bits;
-    modulus = F.modulus;
-    field;
-    arith = select_arith backend field;
-    sums;
-    pending;
-    scratch;
-    pend_scratch;
-    npending = Array.make slots 0;
+    kernel = Kernel.of_field field;
+    rows = Array.init slots (fun _ -> Array.make threshold 0);
     counts = Array.make slots 0;
     (* top of stack = slot 0 so the first acquires hand out 0, 1, ... *)
     free = Array.init slots (fun i -> slots - 1 - i);
@@ -141,30 +63,13 @@ let check_owner t what =
 
 let slots t = t.slots
 let threshold t = t.threshold
-let batch t = t.batch
-let bits t = t.bits
-let modulus t = t.modulus
-let field t = t.field
-let arith t = t.arith
+let modulus t = Kernel.modulus t.kernel
 let live t slot = Bytes.get t.live slot = '\001'
 let live_count t = t.slots - t.nfree
 let free_count t = t.nfree
-let sums_vec t = t.sums
-let pending_vec t = t.pending
-let scratch t = t.scratch
-let pend_scratch t = t.pend_scratch
-let npending t = t.npending
-let counts t = t.counts
 
 let slot_is_clean t slot =
-  let clean = ref (t.npending.(slot) = 0 && t.counts.(slot) = 0) in
-  for i = slot * t.threshold to ((slot + 1) * t.threshold) - 1 do
-    if Bigarray.Array1.get t.sums i <> 0 then clean := false
-  done;
-  for j = slot * t.batch to ((slot + 1) * t.batch) - 1 do
-    if Bigarray.Array1.get t.pending j <> 0 then clean := false
-  done;
-  !clean
+  t.counts.(slot) = 0 && Array.for_all (( = ) 0) t.rows.(slot)
 
 let check_books t what =
   if Invariant.active () then begin
@@ -195,21 +100,43 @@ let acquire t =
   check_books t "acquire";
   slot
 
-let scrub t slot =
-  Bigarray.Array1.fill
-    (Bigarray.Array1.sub t.sums (slot * t.threshold) t.threshold)
-    0;
-  Bigarray.Array1.fill (Bigarray.Array1.sub t.pending (slot * t.batch) t.batch) 0;
-  t.npending.(slot) <- 0;
-  t.counts.(slot) <- 0
-
 let release t slot =
   if Invariant.active () then check_owner t "release";
   if slot < 0 || slot >= t.slots then
     invalid_arg "Slab.release: slot out of range";
   if not (live t slot) then invalid_arg "Slab.release: slot is not live";
-  scrub t slot;
+  Array.fill t.rows.(slot) 0 t.threshold 0;
+  t.counts.(slot) <- 0;
   Bytes.set t.live slot '\000';
   t.free.(t.nfree) <- slot;
   t.nfree <- t.nfree + 1;
   check_books t "release"
+
+let check_in_field t slot what =
+  Invariant.check ~name:("flatpsum-in-field: Slab." ^ what) (fun () ->
+      let p = Kernel.modulus t.kernel in
+      Array.for_all (fun s -> s >= 0 && s < p) t.rows.(slot))
+
+let insert t slot id =
+  Kernel.add_powers t.kernel t.rows.(slot) t.threshold id;
+  t.counts.(slot) <- t.counts.(slot) + 1;
+  if Invariant.active () then check_in_field t slot "insert"
+
+let remove t slot id =
+  Kernel.sub_powers t.kernel t.rows.(slot) t.threshold id;
+  t.counts.(slot) <- t.counts.(slot) - 1;
+  if Invariant.active () then check_in_field t slot "remove"
+
+let count t slot = t.counts.(slot)
+
+let sums_into t slot dst =
+  if Array.length dst < t.threshold then
+    invalid_arg "Slab.sums_into: destination shorter than threshold";
+  (* a loop, not [Array.blit]: the blit primitive does not know these
+     are ints and goes through [caml_modify] for a major-heap [dst] *)
+  let row = t.rows.(slot) in
+  for i = 0 to t.threshold - 1 do
+    Array.unsafe_set dst i (Array.unsafe_get row i)
+  done
+
+let sums t slot = Array.copy t.rows.(slot)

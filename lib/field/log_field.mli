@@ -6,14 +6,6 @@
     Memory: two arrays of [p] ints — fine for p ≤ 2^16, prohibitive at
     2^32 (which is why the paper only does this at 16 bits). *)
 
-val tables : (module Modular.S) -> int array * int array
-(** [tables (module F)] is [(log, antilog)] over a generator [g] of
-    [F_p^*]: [antilog.(i) = g^i] for [i] in [[0, p-2]] and
-    [log.(antilog.(i)) = i] ([log.(0) = -1]). Exposed so flat-array
-    sketch backends (lib/fastpath) can inline the lookups without
-    going through first-class-module closures.
-    @raise Invalid_argument as {!make}. *)
-
 val make : (module Modular.S) -> (module Modular.S)
 (** [make (module F)] returns a field with the same modulus whose
     [mul], [inv], [div] and [pow] use precomputed log/antilog tables.

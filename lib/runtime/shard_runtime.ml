@@ -201,7 +201,7 @@ type shard = {
   sid : int;
   parts : part array;  (* owned partitions, ascending pid *)
   part_index : int array;  (* pid -> index in [parts], or -1 *)
-  views : Fp.Psum_flat.t array;  (* slot -> sketch view of the slab *)
+  slab : Fp.Slab.t;  (* one sketch per table slot *)
   acquire : unit -> int;  (* admission: a fresh slab slot *)
   scratch : int array;  (* one quACK's power sums, on emission *)
   series : Obs.Epochs.t;
@@ -227,9 +227,8 @@ let make_shard cfg ~sid caps =
           (Sidecar_field.Log_field.make
              (Sidecar_field.Primes.field_for_bits cfg.bits))
   in
-  let backend = match cfg.field with `Modular -> `Auto | `Log -> `Log in
   let slab =
-    Fp.Slab.create ~bits:cfg.bits ?field:field_mod ~backend ~slots
+    Fp.Slab.create ~bits:cfg.bits ?field:field_mod ~slots
       ~threshold:cfg.threshold ()
   in
   (* this worker domain is the slab's owner for the whole run *)
@@ -262,8 +261,7 @@ let make_shard cfg ~sid caps =
     sid;
     parts;
     part_index;
-    views =
-      Array.init (Fp.Slab.slots slab) (fun slot -> Fp.Psum_flat.of_slot slab ~slot);
+    slab;
     acquire = (fun () -> Fp.Slab.acquire slab);
     scratch = Array.make cfg.threshold 0;
     series;
@@ -279,15 +277,15 @@ let on_packet sh part ~now ~flow ~key ~sent ~emit =
   let slot = Fp.Flat_table.admit_slot part.tbl ~now flow sh.acquire in
   if slot < 0 then false
   else begin
-    let view = Array.unsafe_get sh.views slot in
-    Fp.Psum_flat.insert view (Q.Identifier.of_counter key ~bits:sh.cfg.bits sent);
+    Fp.Slab.insert sh.slab slot
+      (Q.Identifier.of_counter key ~bits:sh.cfg.bits sent);
     if emit then begin
-      Fp.Psum_flat.sums_into view sh.scratch;
+      Fp.Slab.sums_into sh.slab slot sh.scratch;
       let c = ref part.cks in
       for i = 0 to sh.cfg.threshold - 1 do
         c := mix_checksum !c (Array.unsafe_get sh.scratch i)
       done;
-      part.cks <- mix_checksum !c (Fp.Psum_flat.count view)
+      part.cks <- mix_checksum !c (Fp.Slab.count sh.slab slot)
     end;
     true
   end

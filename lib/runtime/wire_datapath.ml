@@ -9,7 +9,6 @@ type config = {
   field : [ `Modular | `Log ];
   threshold : int;
   quack_every : int;
-  batch : int;
   burst : int;
   payload_bytes : int;
   pool_pkts : int;
@@ -24,7 +23,6 @@ let default_config =
     field = `Modular;
     threshold = 8;
     quack_every = 16;
-    batch = 16;
     burst = 16;
     payload_bytes = 1460;
     pool_pkts = 16;
@@ -178,17 +176,9 @@ let create ~datapath cfg =
             s.Flow_table.hits,
             s.Flow_table.misses ))
   | `Flat ->
-      let backend =
-        match cfg.field with `Modular -> `Auto | `Log -> `Log
-      in
       let slab =
-        Fp.Slab.create ~bits:cfg.bits ?field:field_mod ~backend
-          ~batch:cfg.batch ~slots:(max 1 cfg.table_flows)
-          ~threshold:cfg.threshold ()
-      in
-      let views =
-        Array.init (Fp.Slab.slots slab) (fun slot ->
-            Fp.Psum_flat.of_slot slab ~slot)
+        Fp.Slab.create ~bits:cfg.bits ?field:field_mod
+          ~slots:(max 1 cfg.table_flows) ~threshold:cfg.threshold ()
       in
       let since = Array.make (Fp.Slab.slots slab) 0 in
       let scratch = Array.make cfg.threshold 0 in
@@ -221,17 +211,17 @@ let create ~datapath cfg =
           in
           if slot >= 0 then begin
             let id = Fp.Wire_path.extract_id wire ~bits in
-            Fp.Psum_flat.insert (Array.unsafe_get views slot) id;
+            Fp.Slab.insert slab slot id;
             since.(slot) <- since.(slot) + 1;
             if since.(slot) >= quack_every then begin
               since.(slot) <- 0;
-              Fp.Psum_flat.sums_into views.(slot) scratch;
+              Fp.Slab.sums_into slab slot scratch;
               t.quacks <- t.quacks + 1;
               let cks = ref t.checksum in
               for i = 0 to threshold - 1 do
                 cks := mix_checksum !cks (Array.unsafe_get scratch i)
               done;
-              t.checksum <- mix_checksum !cks (Fp.Psum_flat.count views.(slot))
+              t.checksum <- mix_checksum !cks (Fp.Slab.count slab slot)
             end
           end
         done;

@@ -15,7 +15,7 @@
       {!Flow_table}, and every quACK snapshot allocates.
     - [`Flat]: the fastpath. Wires stay [Bytes]; flow id and
       identifier are read in place ({!Sidecar_fastpath.Wire_path});
-      per-flow sums live in one {!Sidecar_fastpath.Slab} arena behind
+      per-flow sums are rows of one {!Sidecar_fastpath.Slab} behind
       a {!Sidecar_fastpath.Flat_table}, and snapshots land in a
       preallocated scratch vector — zero words allocated per packet.
 
@@ -37,7 +37,6 @@ type config = {
           checksums agree either way *)
   threshold : int;
   quack_every : int;  (** snapshot a quACK per flow every [k] packets *)
-  batch : int;  (** flat-path pending batch ({!Sidecar_fastpath.Slab}) *)
   burst : int;  (** consecutive packets per flow per round-robin turn *)
   payload_bytes : int;  (** plaintext bytes per sealed packet *)
   pool_pkts : int;  (** pre-sealed wires per flow, replayed cyclically *)
@@ -47,7 +46,7 @@ type config = {
 val default_config : config
 (** 200 flows through a 64-slot LRU table, [bits = 24], modular
     arithmetic, [threshold = 8], a quACK every 16 packets, 16-packet
-    bursts and batches, 1460-byte payloads. *)
+    bursts, 1460-byte payloads. *)
 
 type stats = {
   packets : int;

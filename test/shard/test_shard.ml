@@ -130,8 +130,8 @@ let test_shard_invariance () =
 (* Golden reports                                                       *)
 
 (* The deterministic report of [small] under three settings, pinned
-   across commits: both eviction policies, and the Log backend at 16
-   bits. A change that moves an admission decision, a sketch sum or an
+   across commits: both eviction policies, and the log-table field at
+   16 bits. A change that moves an admission decision, a sketch sum or an
    epoch cell shows up here as a diff, where the invariance test above
    (one build compared with itself) would still pass.
 

@@ -62,45 +62,79 @@ module Log16 = Sketch_of (struct
   let field = Log_field.make (Primes.field_for_bits 16)
 end)
 
-(* Flat-array sketches (lib/fastpath): a standalone single-slot slab
-   per sketch, with a batch size that does not divide the usual insert
-   counts so reads constantly exercise partial flushes. Backends
-   covered: the 2^b - c integer fold (16- and 24-bit presets), the
-   2^32 - 5 fast path, and the log-table multiply. *)
+(* Widths on the kernel's closure arm: below the fold gate (8, 12) and
+   just above it (31). *)
+module Ref8 = Sketch_of (struct
+  let bits = 8
+  let field = Primes.field_for_bits 8
+end)
+
+module Ref12 = Sketch_of (struct
+  let bits = 12
+  let field = Primes.field_for_bits 12
+end)
+
+module Ref31 = Sketch_of (struct
+  let bits = 31
+  let field = Primes.field_for_bits 31
+end)
+
+(* Flat sketches (lib/fastpath): one slot of a standalone single-slot
+   slab per sketch, over the same fields as the reference instances —
+   so the kernel's p32, fold and closure arms (the last with the
+   log-table multiply) are all reached through the slab. *)
 module Flat_of (X : sig
   val bits : int
-  val backend : Fp.Slab.backend
+  val field : (module Modular.S)
 end) : Spec.SKETCH = struct
-  type t = Fp.Psum_flat.t
+  type t = { slab : Fp.Slab.t; slot : int }
 
   let create ~threshold =
-    Fp.Psum_flat.create ~bits:X.bits ~backend:X.backend ~batch:3 ~threshold ()
+    let slab =
+      Fp.Slab.create ~bits:X.bits ~field:X.field ~slots:1 ~threshold ()
+    in
+    { slab; slot = Fp.Slab.acquire slab }
 
-  let modulus = Fp.Psum_flat.modulus
-  let count = Fp.Psum_flat.count
-  let sums = Fp.Psum_flat.sums
-  let insert = Fp.Psum_flat.insert
-  let remove = Fp.Psum_flat.remove
+  let modulus t = Fp.Slab.modulus t.slab
+  let count t = Fp.Slab.count t.slab t.slot
+  let sums t = Fp.Slab.sums t.slab t.slot
+  let insert t = Fp.Slab.insert t.slab t.slot
+  let remove t = Fp.Slab.remove t.slab t.slot
 end
 
 module Flat16 = Flat_of (struct
   let bits = 16
-  let backend = `Auto
+  let field = Primes.field_for_bits 16
 end)
 
 module Flat24 = Flat_of (struct
   let bits = 24
-  let backend = `Auto
+  let field = Primes.field_for_bits 24
 end)
 
 module Flat32 = Flat_of (struct
   let bits = 32
-  let backend = `Auto
+  let field = Primes.field_for_bits 32
 end)
 
 module FlatLog16 = Flat_of (struct
   let bits = 16
-  let backend = `Log
+  let field = Log_field.make (Primes.field_for_bits 16)
+end)
+
+module Flat8 = Flat_of (struct
+  let bits = 8
+  let field = Primes.field_for_bits 8
+end)
+
+module Flat12 = Flat_of (struct
+  let bits = 12
+  let field = Primes.field_for_bits 12
+end)
+
+module Flat31 = Flat_of (struct
+  let bits = 31
+  let field = Primes.field_for_bits 31
 end)
 
 module Ref32_spec = Spec.Sketch_spec (Ref32)
@@ -111,11 +145,17 @@ module Flat16_spec = Spec.Sketch_spec (Flat16)
 module Flat24_spec = Spec.Sketch_spec (Flat24)
 module Flat32_spec = Spec.Sketch_spec (Flat32)
 module FlatLog16_spec = Spec.Sketch_spec (FlatLog16)
+module Flat8_spec = Spec.Sketch_spec (Flat8)
+module Flat12_spec = Spec.Sketch_spec (Flat12)
+module Flat31_spec = Spec.Sketch_spec (Flat31)
 module Sketch_diff16 = Spec.Sketch_diff (Ref16) (Log16)
 module Flat_diff16 = Spec.Sketch_diff (Ref16) (Flat16)
 module Flat_diff24 = Spec.Sketch_diff (Ref24) (Flat24)
 module Flat_diff32 = Spec.Sketch_diff (Ref32) (Flat32)
 module Flat_diff_log16 = Spec.Sketch_diff (Flat16) (FlatLog16)
+module Flat_diff8 = Spec.Sketch_diff (Ref8) (Flat8)
+module Flat_diff12 = Spec.Sketch_diff (Ref12) (Flat12)
+module Flat_diff31 = Spec.Sketch_diff (Ref31) (Flat31)
 module Decode16 = Spec.Decoder_spec (F16) (Ref16)
 module Decode24 = Spec.Decoder_spec (F24) (Ref24)
 module Decode32 = Spec.Decoder_spec (F32) (Ref32)
@@ -214,25 +254,7 @@ end)
 
 (* Fastpath-specific properties the generic seams cannot express. *)
 let fastpath_props =
-  let ids_arb =
-    QCheck.list_of_size (QCheck.Gen.int_range 0 64) (QCheck.map abs QCheck.int)
-  in
   [
-    (* Batching is an invisible optimisation: a flat sketch fed one
-       insert_batch call agrees with the reference Psum fed the same
-       identifiers one at a time, for every batch granularity. *)
-    QCheck.Test.make ~count:200
-      ~name:"Psum_flat: batched inserts = sequential reference Psum"
-      (QCheck.pair (QCheck.int_range 1 8) ids_arb)
-      (fun (batch, ids) ->
-        let flat =
-          Fp.Psum_flat.create ~bits:24 ~batch ~threshold:10 ()
-        in
-        let reference = Psum.create ~bits:24 ~threshold:10 () in
-        Fp.Psum_flat.insert_batch flat (Array.of_list ids);
-        List.iter (Psum.insert reference) ids;
-        Fp.Psum_flat.sums flat = Psum.sums reference
-        && Fp.Psum_flat.count flat = Psum.count reference);
     (* Slot recycling never leaks state: whatever a slot held before
        release, re-acquiring hands out a scrubbed sketch, and the
        live/free partition of the arena stays exact. *)
@@ -242,23 +264,19 @@ let fastpath_props =
          (QCheck.pair (QCheck.int_range 0 3) (QCheck.map abs QCheck.int)))
       (fun trace ->
         let slots = 4 in
-        let slab = Fp.Slab.create ~bits:16 ~batch:3 ~slots ~threshold:6 () in
-        let views =
-          Array.init slots (fun slot -> Fp.Psum_flat.of_slot slab ~slot)
-        in
+        let slab = Fp.Slab.create ~bits:16 ~slots ~threshold:6 () in
         let ok = ref true in
         List.iter
           (fun (_, id) ->
             (if Fp.Slab.free_count slab > 0 then begin
                let slot = Fp.Slab.acquire slab in
-               let v = views.(slot) in
                (* freshly acquired: scrubbed, whatever its past life *)
                if
-                 Fp.Psum_flat.count v <> 0
-                 || not (Array.for_all (( = ) 0) (Fp.Psum_flat.sums v))
+                 Fp.Slab.count slab slot <> 0
+                 || not (Array.for_all (( = ) 0) (Fp.Slab.sums slab slot))
                then ok := false;
-               Fp.Psum_flat.insert v id;
-               Fp.Psum_flat.insert v (id + 1)
+               Fp.Slab.insert slab slot id;
+               Fp.Slab.insert slab slot (id + 1)
              end
              else
                (* full: release the slot the id points at *)
@@ -318,6 +336,8 @@ let () =
          @ Log16_spec.props "PsumLog16" @ Flat16_spec.props "Flat16"
          @ Flat24_spec.props "Flat24" @ Flat32_spec.props "Flat32"
          @ FlatLog16_spec.props "FlatLog16" @ Ref24_spec.props "Psum24"
+         @ Flat8_spec.props "Flat8" @ Flat12_spec.props "Flat12"
+         @ Flat31_spec.props "Flat31"
          @ at_thresholds Ref16_spec.props "Psum16"
          @ at_thresholds Ref24_spec.props "Psum24"
          @ at_thresholds Ref32_spec.props "Psum32") );
@@ -328,6 +348,9 @@ let () =
           @ Flat_diff32.props "Psum32=Flat32"
           @ Flat_diff_log16.props "Flat16=FlatLog16"
           @ Flat_diff24.props "Psum24=Flat24"
+          @ Flat_diff8.props "Psum8=Flat8"
+          @ Flat_diff12.props "Psum12=Flat12"
+          @ Flat_diff31.props "Psum31=Flat31"
           @ at_thresholds Flat_diff16.props "Psum16=Flat16"
           @ at_thresholds Flat_diff24.props "Psum24=Flat24"
           @ at_thresholds Flat_diff32.props "Psum32=Flat32") );
