@@ -4,10 +4,9 @@
    called out in DESIGN.md.
 
    Usage: dune exec bench/main.exe [-- [--jobs N] section ...]
-   Sections: table2 table3 fig5 fig6 freq proto_cc proto_ar proto_rx
-             cc_compare fairness sweep short_flows runtime
-             runtime_datapath runtime_field runtime_shard ablation
-             extensions (default: all of them, in that order).
+   The sections are the names in the [sections] table at the end of
+   this file (default: all of them, in that order); an unknown name
+   exits 2 before any section runs.
    --jobs N fans the grid sweeps (sweep/short_flows/cc_compare/runtime
    points, fairness trials) over N domains via lib/exec; default
    Exec.recommended_jobs () (the SIDECAR_JOBS env overrides). Results
@@ -22,7 +21,6 @@
    measurement from the runtime section (no cost_clock, no speedup
    row) so BENCH_RUNTIME.json is byte-identical across runs and job
    counts — what CI diffs.
-   Set BENCH_CSV_DIR=<dir> to also write the figure data as CSV.
    Sections that measure the quACK itself (table2/fig5/fig6) append
    rows to BENCH_QUACK.json, the runtime sections to
    BENCH_RUNTIME.json and the sharded runtime to BENCH_SHARD.json,
@@ -154,20 +152,6 @@ let write_rows path rows =
 
 let section name = Printf.printf "\n=== %s ===\n%!" name
 
-(* Optional machine-readable output: set BENCH_CSV_DIR to also write
-   each figure's data as CSV (for replotting). *)
-let csv_file name ~header rows =
-  match Sys.getenv_opt "BENCH_CSV_DIR" with
-  | None -> ()
-  | Some dir ->
-      (try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-      let path = Filename.concat dir (name ^ ".csv") in
-      let oc = open_out path in
-      output_string oc (String.concat "," header ^ "\n");
-      List.iter (fun r -> output_string oc (String.concat "," r ^ "\n")) (List.rev rows);
-      close_out oc;
-      Printf.printf "(wrote %s)\n" path
-
 (* ------------------------------------------------------------------ *)
 (* Shared quACK scenario builders                                      *)
 
@@ -202,55 +186,44 @@ let table2 _pool =
      the major heap before each, which fails while another domain
      allocates (Strawman 2's digests churn it), so they do not fan out
      over the pool. *)
-  let measure = function
-    | `Ps_construct ->
-        measure_cost ~name:"psum-construct" (fun () ->
-            build_psum ~bits:32 ~threshold:t all)
-    | `Ps_decode ->
-        let diff, nm, cands, field =
-          decode_problem ~bits:32 ~threshold:t ~n ~missing_idx:(spread_missing n m)
-        in
-        measure_cost ~name:"psum-decode" (fun () ->
-            Decoder.decode ~field ~diff_sums:diff ~num_missing:nm
-              ~candidates:cands ())
-    | `S1_construct ->
-        measure_cost ~name:"s1-construct" (fun () ->
-            let s = Strawman1.create ~bits:32 in
-            List.iter (Strawman1.insert s) all;
-            Strawman1.encode s)
-    | `S1_decode ->
-        let s1 = Strawman1.create ~bits:32 in
-        List.iteri (fun i id -> if i mod 50 <> 7 then Strawman1.insert s1 id) all;
-        let s1_payload = Strawman1.encode s1 in
-        measure_cost ~name:"s1-decode" (fun () ->
-            Strawman1.decode ~bits:32 s1_payload ~log:all)
-    | `S2_construct ->
-        measure_cost ~name:"s2-construct" (fun () ->
-            let s = Strawman2.create ~bits:32 in
-            List.iter (Strawman2.insert s) all;
-            Strawman2.digest s)
-    | `S2_attempt ->
-        (* measured cost of one subset attempt; extrapolated below *)
-        let ns, words =
-          measure_cost ~name:"s2-attempt" (fun () ->
-              Strawman2.decode ~max_attempts:attempts ~digest:bogus ~log:all
-                ~num_missing:m ())
-        in
-        (ns /. float_of_int attempts, words /. float_of_int attempts)
+  let ps_construct, ps_construct_words =
+    measure_cost ~name:"psum-construct" (fun () ->
+        build_psum ~bits:32 ~threshold:t all)
   in
-  let ( (ps_construct, ps_construct_words),
-        (ps_decode, ps_decode_words),
-        (s1_construct, s1_construct_words),
-        (s1_decode, s1_decode_words),
-        (s2_construct, s2_construct_words),
-        (s2_attempt, s2_attempt_words) ) =
-    match
-      List.map measure
-        [ `Ps_construct; `Ps_decode; `S1_construct; `S1_decode; `S2_construct;
-          `S2_attempt ]
-    with
-    | [ a; b; c; d; e; f ] -> (a, b, c, d, e, f)
-    | _ -> assert false
+  let ps_decode, ps_decode_words =
+    let diff, nm, cands, field =
+      decode_problem ~bits:32 ~threshold:t ~n ~missing_idx:(spread_missing n m)
+    in
+    measure_cost ~name:"psum-decode" (fun () ->
+        Decoder.decode ~field ~diff_sums:diff ~num_missing:nm ~candidates:cands ())
+  in
+  let s1_construct, s1_construct_words =
+    measure_cost ~name:"s1-construct" (fun () ->
+        let s = Strawman1.create ~bits:32 in
+        List.iter (Strawman1.insert s) all;
+        Strawman1.encode s)
+  in
+  let s1_decode, s1_decode_words =
+    let s1 = Strawman1.create ~bits:32 in
+    List.iteri (fun i id -> if i mod 50 <> 7 then Strawman1.insert s1 id) all;
+    let s1_payload = Strawman1.encode s1 in
+    measure_cost ~name:"s1-decode" (fun () ->
+        Strawman1.decode ~bits:32 s1_payload ~log:all)
+  in
+  let s2_construct, s2_construct_words =
+    measure_cost ~name:"s2-construct" (fun () ->
+        let s = Strawman2.create ~bits:32 in
+        List.iter (Strawman2.insert s) all;
+        Strawman2.digest s)
+  in
+  (* measured cost of one subset attempt; extrapolated below *)
+  let s2_attempt, s2_attempt_words =
+    let ns, words =
+      measure_cost ~name:"s2-attempt" (fun () ->
+          Strawman2.decode ~max_attempts:attempts ~digest:bogus ~log:all
+            ~num_missing:m ())
+    in
+    (ns /. float_of_int attempts, words /. float_of_int attempts)
   in
   let ps_bits = (32 * t) + 16 in
   let s1_bits = 32 * n in
@@ -317,110 +290,62 @@ let table3 _pool =
   Printf.printf "\n(paper: 0.98  0.015  6.0e-05  2.3e-07)\n"
 
 (* ------------------------------------------------------------------ *)
-(* Fig. 5: construction time (us) vs threshold, n = 1000              *)
+(* Fig. 5 and Fig. 6: one quACK cost over x values × identifier widths *)
+
+(* [width_grid ~section ~x ~metric xs setup] times [setup ~bits v] for
+   every v of [xs] (column [x]) at 16, 24 and 32 bits, prints the
+   table and adds one [section] row per point. The points are measured
+   one after another on this domain, as in table2: a point timed while
+   other domains run reads slower, and Bechamel's heap stabilisation
+   before each measurement can fail outright while another domain
+   allocates. *)
+let width_grid ~section ~x ~metric xs setup =
+  let widths = [ 16; 24; 32 ] in
+  Printf.printf "%-10s" x;
+  List.iter (fun b -> Printf.printf "%10d-bit" b) widths;
+  Printf.printf "\n";
+  List.iter
+    (fun v ->
+      Printf.printf "%-10d" v;
+      List.iter
+        (fun bits ->
+          let ns, words =
+            measure_cost ~quota:0.1
+              ~name:(Printf.sprintf "%s-b%d-%s%d" section bits x v)
+              (setup ~bits v)
+          in
+          add_row quack_rows ~section
+            [
+              (x, Obs.Json.Int v);
+              ("bits", Obs.Json.Int bits);
+              (metric, Obs.Json.Float (ns /. 1e3));
+              ("alloc_words", Obs.Json.Float words);
+            ];
+          Printf.printf "%14.1f" (ns /. 1e3))
+        widths;
+      Printf.printf "\n%!")
+    xs
 
 let fig5 _pool =
   section "Fig. 5: construction time (us) vs threshold t (n=1000)";
-  let thresholds = [ 10; 15; 20; 25; 30; 35; 40; 45; 50 ] in
-  let widths = [ 16; 24; 32 ] in
-  (* The 27 points are measured one after another on this domain, as
-     in table2: a point timed while other domains run reads slower, and
-     Bechamel's heap stabilisation before each measurement can fail
-     outright while another domain allocates. *)
-  let points =
-    List.concat_map (fun t -> List.map (fun bits -> (t, bits)) widths)
-      thresholds
-  in
-  let measured =
-    List.map
-      (fun (t, bits) ->
-        let all = ids_b ~bits 1000 in
-        measure_cost ~quota:0.1
-          ~name:(Printf.sprintf "construct-b%d-t%d" bits t)
-          (fun () -> build_psum ~bits ~threshold:t all))
-      points
-  in
-  let grid = List.combine points measured in
-  Printf.printf "%-10s" "t";
-  List.iter (fun b -> Printf.printf "%10d-bit" b) widths;
-  Printf.printf "\n";
-  let rows = ref [] in
-  List.iter
-    (fun t ->
-      Printf.printf "%-10d" t;
-      let row = ref [ string_of_int t ] in
-      List.iter
-        (fun bits ->
-          let ns, words = List.assoc (t, bits) grid in
-          row := Printf.sprintf "%.2f" (ns /. 1e3) :: !row;
-          add_row quack_rows ~section:"fig5"
-            [
-              ("t", Obs.Json.Int t);
-              ("bits", Obs.Json.Int bits);
-              ("construct_us", Obs.Json.Float (ns /. 1e3));
-              ("alloc_words", Obs.Json.Float words);
-            ];
-          Printf.printf "%14.1f" (ns /. 1e3))
-        widths;
-      rows := List.rev !row :: !rows;
-      Printf.printf "\n%!")
-    thresholds;
-  csv_file "fig5_construction_vs_threshold"
-    ~header:[ "t"; "us_16bit"; "us_24bit"; "us_32bit" ] !rows;
+  width_grid ~section:"fig5" ~x:"t" ~metric:"construct_us"
+    [ 10; 15; 20; 25; 30; 35; 40; 45; 50 ]
+    (fun ~bits t ->
+      let all = ids_b ~bits 1000 in
+      fun () -> build_psum ~bits ~threshold:t all);
   Printf.printf "(expected shape: linear in t; wider b costs more per sum)\n"
-
-(* ------------------------------------------------------------------ *)
-(* Fig. 6: decoding time (us) vs missing packets, n = 1000, t = 20    *)
 
 let fig6 _pool =
   section "Fig. 6: decoding time (us) vs missing packets m (n=1000, t=20)";
-  let missing = [ 0; 2; 5; 8; 10; 12; 15; 18; 20 ] in
-  let widths = [ 16; 24; 32 ] in
-  (* One point at a time on this domain, as in fig5 and table2. *)
-  let points =
-    List.concat_map (fun m -> List.map (fun bits -> (m, bits)) widths) missing
-  in
-  let measured =
-    List.map
-      (fun (m, bits) ->
-        let diff, nm, cands, field =
-          decode_problem ~bits ~threshold:20 ~n:1000
-            ~missing_idx:(spread_missing 1000 m)
-        in
-        measure_cost ~quota:0.1
-          ~name:(Printf.sprintf "decode-b%d-m%d" bits m)
-          (fun () ->
-            Decoder.decode ~field ~diff_sums:diff ~num_missing:nm
-              ~candidates:cands ()))
-      points
-  in
-  let grid = List.combine points measured in
-  Printf.printf "%-10s" "m";
-  List.iter (fun b -> Printf.printf "%10d-bit" b) widths;
-  Printf.printf "\n";
-  let rows = ref [] in
-  List.iter
-    (fun m ->
-      Printf.printf "%-10d" m;
-      let row = ref [ string_of_int m ] in
-      List.iter
-        (fun bits ->
-          let ns, words = List.assoc (m, bits) grid in
-          row := Printf.sprintf "%.2f" (ns /. 1e3) :: !row;
-          add_row quack_rows ~section:"fig6"
-            [
-              ("m", Obs.Json.Int m);
-              ("bits", Obs.Json.Int bits);
-              ("decode_us", Obs.Json.Float (ns /. 1e3));
-              ("alloc_words", Obs.Json.Float words);
-            ];
-          Printf.printf "%14.1f" (ns /. 1e3))
-        widths;
-      rows := List.rev !row :: !rows;
-      Printf.printf "\n%!")
-    missing;
-  csv_file "fig6_decoding_vs_missing"
-    ~header:[ "m"; "us_16bit"; "us_24bit"; "us_32bit" ] !rows;
+  width_grid ~section:"fig6" ~x:"m" ~metric:"decode_us"
+    [ 0; 2; 5; 8; 10; 12; 15; 18; 20 ]
+    (fun ~bits m ->
+      let diff, nm, cands, field =
+        decode_problem ~bits ~threshold:20 ~n:1000
+          ~missing_idx:(spread_missing 1000 m)
+      in
+      fun () ->
+        Decoder.decode ~field ~diff_sums:diff ~num_missing:nm ~candidates:cands ());
   Printf.printf "(expected shape: linear in m; m=0 is near-free)\n"
 
 (* ------------------------------------------------------------------ *)
@@ -550,31 +475,22 @@ let sweep pool =
             Cc_division.units = 1500;
             far =
               Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
-                ~loss:(if loss > 0. then Path.Bernoulli loss else Path.No_loss)
-                ();
+                ~loss:(Path.Bernoulli loss) ();
           }
         in
         (Cc_division.baseline cfg, (Cc_division.run cfg).Cc_division.flow))
       cc_losses
   in
-  let rows = ref [] in
   Printf.printf "%-10s %12s %12s %12s\n" "loss" "baseline" "sidecar" "speedup";
   List.iter2
     (fun loss (b, sc) ->
       match (b.Transport.Flow.fct, sc.Transport.Flow.fct) with
       | Some bf, Some sf ->
-          rows :=
-            [ Printf.sprintf "%.3f" loss;
-              Printf.sprintf "%.3f" (Time.to_float_s bf);
-              Printf.sprintf "%.3f" (Time.to_float_s sf) ]
-            :: !rows;
           Printf.printf "%8.1f%% %12.2f %12.2f %11.1fx\n%!" (100. *. loss)
             (Time.to_float_s bf) (Time.to_float_s sf)
             (Time.to_float_s bf /. Time.to_float_s sf)
       | _ -> Printf.printf "%8.1f%% %12s %12s\n%!" (100. *. loss) "-" "-")
     cc_losses cc_results;
-  csv_file "sweep_cc_division_vs_loss"
-    ~header:[ "loss"; "baseline_fct_s"; "sidecar_fct_s" ] !rows;
   Printf.printf "(expected: parity at zero loss, widening gap as loss grows)\n";
 
   section "Sweep: in-network retransmission - FCT (s) vs subpath loss";
@@ -582,22 +498,13 @@ let sweep pool =
   let rx_results =
     Exec.Pool.map pool
       ~f:(fun _ctx avg ->
-        let middle_loss =
-          if avg <= 0. then Path.No_loss
-          else
-            let p_bg = 0.2 in
-            let pi_bad = avg /. 0.3 in
-            Path.Gilbert
-              { p_good_to_bad = pi_bad *. p_bg /. (1. -. pi_bad);
-                p_bad_to_good = p_bg; loss_bad = 0.3 }
-        in
         let cfg =
           {
             Retransmission.default_config with
             Retransmission.units = 1500;
             middle =
               { Retransmission.default_config.Retransmission.middle with
-                Path.loss = middle_loss };
+                Path.loss = Path.bursty avg };
           }
         in
         (Retransmission.baseline cfg, (Retransmission.run cfg).Retransmission.flow))
@@ -733,7 +640,6 @@ let runtime pool =
   in
   let grid = List.combine points reports in
   section "Runtime: tail FCT vs flow count (64-slot LRU table)";
-  let rows = ref [] in
   List.iter
     (fun flows ->
       let r, alloc = List.assoc (`Flows flows) grid in
@@ -750,30 +656,13 @@ let runtime pool =
           ("fct_p99_s", Obs.Json.Float r.Scenario.fct_p99);
           ("proxy_us_per_pkt", Obs.Json.Float (us_per_pkt r));
           ("alloc_words_per_pkt", Obs.Json.Float alloc);
-        ];
-      rows :=
-        [
-          string_of_int flows;
-          string_of_int r.Scenario.completed;
-          Printf.sprintf "%.4f" r.Scenario.fct_p50;
-          Printf.sprintf "%.4f" r.Scenario.fct_p95;
-          Printf.sprintf "%.4f" r.Scenario.fct_p99;
-          Printf.sprintf "%.3f" (us_per_pkt r);
-          Printf.sprintf "%.1f" alloc;
-        ]
-        :: !rows)
+        ])
     counts;
-  csv_file "runtime_fct_vs_flows"
-    ~header:
-      [ "flows"; "completed"; "fct_p50_s"; "fct_p95_s"; "fct_p99_s";
-        "proxy_us_per_pkt"; "alloc_words_per_pkt" ]
-    !rows;
   section "Runtime: graceful degradation vs table size (fixed flow count)";
   Printf.printf
     "  table 0 is the pure end-to-end baseline; small tables evict\n\
     \  constantly yet every flow must still complete (losing the\n\
     \  enhancement, never the data)\n";
-  let rows = ref [] in
   List.iter
     (fun table ->
       let r, _ = List.assoc (`Table table) grid in
@@ -788,29 +677,13 @@ let runtime pool =
           ("fct_p50_s", Obs.Json.Float r.Scenario.fct_p50);
           ("fct_p95_s", Obs.Json.Float r.Scenario.fct_p95);
           ("fct_p99_s", Obs.Json.Float r.Scenario.fct_p99);
-        ];
-      rows :=
-        [
-          string_of_int table;
-          string_of_int r.Scenario.completed;
-          string_of_int r.Scenario.evictions;
-          string_of_int r.Scenario.proxy.Sidecar_runtime.Proxy.resyncs;
-          Printf.sprintf "%.4f" r.Scenario.fct_p50;
-          Printf.sprintf "%.4f" r.Scenario.fct_p95;
-          Printf.sprintf "%.4f" r.Scenario.fct_p99;
-        ]
-        :: !rows)
+        ])
     [ 0; 4; 16; 64 ];
-  csv_file "runtime_fct_vs_table"
-    ~header:
-      [ "table"; "completed"; "evictions"; "resyncs"; "fct_p50_s"; "fct_p95_s"; "fct_p99_s" ]
-    !rows;
   section "Runtime: each sidecar protocol under bounded proxy state";
   Printf.printf
     "  the same flow-demultiplexing proxy runtime drives all three\n\
     \  protocols (cc = CC division, ack = ACK reduction, retx = the\n\
     \  bracketing retransmission pair over a bursty middle hop)\n";
-  let rows = ref [] in
   List.iter
     (fun (name, protocol) ->
       let r, _ = List.assoc (`Proto (name, protocol)) grid in
@@ -833,28 +706,8 @@ let runtime pool =
           ("fct_p50_s", Obs.Json.Float r.Scenario.fct_p50);
           ("fct_p95_s", Obs.Json.Float r.Scenario.fct_p95);
           ("fct_p99_s", Obs.Json.Float r.Scenario.fct_p99);
-        ];
-      rows :=
-        [
-          name;
-          string_of_int r.Scenario.completed;
-          string_of_int r.Scenario.evictions;
-          string_of_int r.Scenario.srv_resyncs;
-          string_of_int r.Scenario.proxy.Sidecar_runtime.Proxy.resyncs;
-          string_of_int r.Scenario.proxy_retransmissions;
-          Printf.sprintf "%.4f" r.Scenario.fct_p50;
-          Printf.sprintf "%.4f" r.Scenario.fct_p95;
-          Printf.sprintf "%.4f" r.Scenario.fct_p99;
-        ]
-        :: !rows)
+        ])
     [ ("cc", `Cc); ("ack", `Ack); ("retx", `Retx) ];
-  csv_file "runtime_fct_vs_protocol"
-    ~header:
-      [
-        "protocol"; "completed"; "evictions"; "srv_resyncs"; "proxy_resyncs";
-        "proxy_retransmissions"; "fct_p50_s"; "fct_p95_s"; "fct_p99_s";
-      ]
-    !rows;
   (* Wall-clock scaling of the engine itself: the same replication
      workload run sequentially and through the pool. Skipped in
      deterministic mode (wall-clock numbers are never reproducible)
@@ -961,7 +814,6 @@ let runtime_datapath _pool =
     \  the zero-allocation path did exactly the reference's work\n";
   let reps = if deterministic then 1 else 9 in
   let pkts = if deterministic then 200_000 else 500_000 in
-  let rows = ref [] in
   List.iter
     (fun flows ->
       let cfg = { Wd.default_config with Wd.flows; table_flows = flows } in
@@ -1000,23 +852,8 @@ let runtime_datapath _pool =
       in
       mk "ref" r_us r_pps r_alloc r_st [];
       mk "flat" f_us f_pps f_alloc f_st
-        [ ("speedup_vs_ref", Obs.Json.Float speedup) ];
-      rows :=
-        [
-          string_of_int flows;
-          Printf.sprintf "%.3f" r_us;
-          Printf.sprintf "%.3f" f_us;
-          Printf.sprintf "%.1f" r_alloc;
-          Printf.sprintf "%.1f" f_alloc;
-          Printf.sprintf "%.1f" speedup;
-        ]
-        :: !rows)
-    [ 50; 100; 200 ];
-  csv_file "runtime_datapath"
-    ~header:
-      [ "flows"; "ref_us_per_pkt"; "flat_us_per_pkt"; "ref_alloc_words_per_pkt";
-        "flat_alloc_words_per_pkt"; "speedup" ]
-    !rows
+        [ ("speedup_vs_ref", Obs.Json.Float speedup) ])
+    [ 50; 100; 200 ]
 
 let runtime_field _pool =
   let module Wd = Sidecar_runtime.Wire_datapath in
@@ -1091,30 +928,27 @@ let runtime_field _pool =
    relations (the transfer arm's continuity must cost fewer server
    resyncs than the resync arm's restart; the split arm aggregates
    both cells' bandwidth). *)
+
+(* A family's arms fanned over the pool, each paired with its name;
+   results come back in arm order whatever the pool width. *)
+let run_arms pool run arms =
+  List.combine (List.map fst arms)
+    (Exec.Pool.map pool ~f:(fun _ctx (_, c) -> run c) arms)
+
+let fct_fields ~p50 ~p95 ~p99 ~mean =
+  [
+    ("fct_p50_s", Obs.Json.Float p50);
+    ("fct_p95_s", Obs.Json.Float p95);
+    ("fct_p99_s", Obs.Json.Float p99);
+    ("fct_mean_s", Obs.Json.Float mean);
+  ]
+
 let runtime_handover pool =
   let module H = Sidecar_runtime.Handover in
   let module M = Sidecar_runtime.Multipath in
   section "Runtime: handover + multipath scenario families";
-  let fct_fields ~p50 ~p95 ~p99 ~mean =
-    [
-      ("fct_p50_s", Obs.Json.Float p50);
-      ("fct_p95_s", Obs.Json.Float p95);
-      ("fct_p99_s", Obs.Json.Float p99);
-      ("fct_mean_s", Obs.Json.Float mean);
-    ]
-  in
-  let h_arms =
-    [
-      ("baseline", { H.default_config with H.migrate = false });
-      ("resync", { H.default_config with H.strategy = H.Resync });
-      ("transfer", { H.default_config with H.strategy = H.Transfer });
-    ]
-  in
-  let h_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> H.run c) h_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : H.report) ->
+  List.iter
+    (fun (arm, (r : H.report)) ->
       Printf.printf
         "  handover %-8s: %d/%d done  fct p50 %.3fs mean %.3fs  migr %d  \
          resyncs %d  retx %d (spurious %d)\n"
@@ -1142,18 +976,9 @@ let runtime_handover pool =
             ("spurious_retx", Obs.Json.Int r.H.spurious_retx);
             ("delivered_bytes", Obs.Json.Int r.H.data_delivered_bytes);
           ]))
-    h_arms h_reports;
-  let m_arms =
-    [
-      ("split", M.default_config);
-      ("single_path", { M.default_config with M.split = (1, 0) });
-    ]
-  in
-  let m_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> M.run c) m_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : M.report) ->
+    (run_arms pool H.run (H.arms H.default_config));
+  List.iter
+    (fun (arm, (r : M.report)) ->
       Printf.printf
         "  multipath %-11s: %d/%d done  fct p50 %.3fs mean %.3fs  split \
          %d/%d  folds %d  resyncs %d\n"
@@ -1178,7 +1003,7 @@ let runtime_handover pool =
             ("duplicates", Obs.Json.Int r.M.duplicates);
             ("delivered_bytes", Obs.Json.Int r.M.data_delivered_bytes);
           ]))
-    m_arms m_reports
+    (run_arms pool M.run (M.arms M.default_config))
 
 (* ------------------------------------------------------------------ *)
 (* Adversarial + leakage scenario families (ROADMAP item 4)            *)
@@ -1198,30 +1023,8 @@ let runtime_adversary pool =
   let module L = Sidecar_runtime.Leakage in
   section "Runtime: adversary + leakage scenario families";
   let flows = adversary_flows in
-  let fct_fields ~p50 ~p95 ~p99 ~mean =
-    [
-      ("fct_p50_s", Obs.Json.Float p50);
-      ("fct_p95_s", Obs.Json.Float p95);
-      ("fct_p99_s", Obs.Json.Float p99);
-      ("fct_mean_s", Obs.Json.Float mean);
-    ]
-  in
-  let rate = 0.2 in
-  let base = { A.default_config with A.flows; table_flows = flows } in
-  let a_arms =
-    [
-      ("unauth_rate0", { base with A.auth = false; attack_rate = 0. });
-      ( "unauth_rate_half",
-        { base with A.auth = false; attack_rate = rate /. 2. } );
-      ("unauth", { base with A.auth = false; attack_rate = rate });
-      ("auth", { base with A.auth = true; attack_rate = rate });
-    ]
-  in
-  let a_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> A.run c) a_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : A.report) ->
+  List.iter
+    (fun (arm, (r : A.report)) ->
       Printf.printf
         "  adversary %-16s: %d/%d done  admitted %d  resyncs %d (attacker \
          %d)  rejected %d  replays dropped %d  malformed %d\n"
@@ -1263,19 +1066,11 @@ let runtime_adversary pool =
             ("spurious_retx", Obs.Json.Int r.A.spurious_retx);
             ("delivered_bytes", Obs.Json.Int r.A.data_delivered_bytes);
           ]))
-    a_arms a_reports;
-  let l_base = { L.default_config with L.flows; table_flows = flows } in
-  let l_arms =
-    [
-      ("unshaped", { l_base with L.shape = false });
-      ("shaped", { l_base with L.shape = true });
-    ]
-  in
-  let l_reports =
-    Exec.Pool.map pool ~f:(fun _ctx (_, c) -> L.run c) l_arms
-  in
-  List.iter2
-    (fun (arm, _) (r : L.report) ->
+    (run_arms pool A.run
+       (A.arms
+          { A.default_config with A.flows; table_flows = flows; attack_rate = 0.2 }));
+  List.iter
+    (fun (arm, (r : L.report)) ->
       Printf.printf
         "  leakage %-9s: %d/%d done  observer accuracy %.2f  %d quACKs \
          (%d B, %d dummies)  fct p50 %.3fs\n"
@@ -1301,7 +1096,8 @@ let runtime_adversary pool =
             ("retransmissions", Obs.Json.Int r.L.retransmissions);
             ("timeouts", Obs.Json.Int r.L.timeouts);
           ]))
-    l_arms l_reports;
+    (run_arms pool L.run
+       (L.arms { L.default_config with L.flows; table_flows = flows }));
   (* The per-quACK price of the defence: one HMAC-SHA256 sign at the
      proxy, one verify at the server, 16 tag bytes on the wire. *)
   let mac_key = String.make 32 '\x0b' in
@@ -1506,7 +1302,7 @@ let cc_compare pool =
       ~f:(fun _ctx loss ->
         let run cc =
           (Transport.Flow.direct ~units:3000
-             ~loss:(if loss > 0. then Netsim.Loss.bernoulli loss else Netsim.Loss.none)
+             ~loss:(Netsim.Loss.bernoulli loss)
              ?cc ())
             .Transport.Flow.goodput_mbps
         in
@@ -1702,19 +1498,23 @@ let rec parse_args acc jobs = function
       parse_args acc (Some (jobs_value v)) rest
   | arg :: rest -> parse_args (arg :: acc) jobs rest
 
+(* Every name is checked before any section runs: rows are written
+   only on a normal exit, so a bad name found late would discard the
+   sections that ran before it. *)
+let section_of name =
+  match List.assoc_opt name sections with
+  | Some f -> f
+  | None ->
+      Printf.eprintf "bench: unknown section %S (want one of: %s)\n" name
+        (String.concat ", " (List.map fst sections));
+      exit 2
+
 let () =
   let names, jobs = parse_args [] None (List.tl (Array.to_list Sys.argv)) in
-  let requested = match names with [] -> List.map fst sections | ns -> ns in
-  Exec.Pool.with_pool ?jobs (fun pool ->
-      List.iter
-        (fun name ->
-          match List.assoc_opt name sections with
-          | Some f -> f pool
-          | None ->
-              Printf.eprintf "unknown section %S; available: %s\n" name
-                (String.concat ", " (List.map fst sections));
-              exit 1)
-        requested);
+  let requested =
+    match names with [] -> List.map snd sections | ns -> List.map section_of ns
+  in
+  Exec.Pool.with_pool ?jobs (fun pool -> List.iter (fun f -> f pool) requested);
   write_rows "BENCH_QUACK.json" quack_rows;
   write_rows "BENCH_RUNTIME.json" runtime_rows;
   write_rows "BENCH_SHARD.json" shard_rows;

@@ -67,9 +67,9 @@ let jobs_arg =
           "Worker domains for replicated runs (default: $(b,SIDECAR_JOBS) \
            or the machine's core count). Output is identical for any value.")
 
-let check_jobs = function
+let check_jobs ~flag = function
   | Some n when n < 1 ->
-      Format.eprintf "--jobs must be at least 1@.";
+      Format.eprintf "--%s must be at least 1@." flag;
       exit 2
   | j -> j
 
@@ -125,6 +125,13 @@ let finish ~traced json_file report_json =
     | Some sink -> Format.printf "%a" Obs.Trace.dump (Obs.Sink.trace sink)
     | None -> ()
 
+(* A single-flow run's output: its report, then [finish]. With
+   --baseline the run is the same path without a sidecar, and its
+   report is the bare flow result. *)
+let report ~traced json pp to_json r =
+  Format.printf "%a@." pp r;
+  finish ~traced json (to_json r)
+
 (* ------------------------------------------------------------------ *)
 (* quack: a single encode/decode round trip                            *)
 
@@ -175,20 +182,15 @@ let cc_cmd =
         near = Path.segment ~rate_bps:near_rate ~delay:near_delay ();
         far =
           Path.segment ~rate_bps:far_rate ~delay:far_delay
-            ~loss:(if far_loss > 0. then Path.Bernoulli far_loss else Path.No_loss)
-            ();
+            ~loss:(Path.Bernoulli far_loss) ();
       }
     in
-    if baseline then begin
-      let r = Cc_division.baseline cfg in
-      Format.printf "%a@." Transport.Flow.pp_result r;
-      finish ~traced json (Transport.Flow.json_result r)
-    end
-    else begin
-      let rep = Cc_division.run cfg in
-      Format.printf "%a@." Cc_division.pp_report rep;
-      finish ~traced json (Cc_division.json_report rep)
-    end
+    if baseline then
+      report ~traced json Transport.Flow.pp_result Transport.Flow.json_result
+        (Cc_division.baseline cfg)
+    else
+      report ~traced json Cc_division.pp_report Cc_division.json_report
+        (Cc_division.run cfg)
   in
   Cmd.v
     (Cmd.info "cc-division" ~doc:"Congestion-control division (paper sec 2.1).")
@@ -210,16 +212,16 @@ let ar_cmd =
     let cfg =
       { Ack_reduction.default_config with units; seed; quack_every; client_ack_every }
     in
-    if baseline then begin
-      let r, bytes = Ack_reduction.baseline cfg in
-      Format.printf "%a@.client ack bytes: %d@." Transport.Flow.pp_result r bytes;
-      finish ~traced json (Transport.Flow.json_result r)
-    end
-    else begin
-      let rep = Ack_reduction.run cfg in
-      Format.printf "%a@." Ack_reduction.pp_report rep;
-      finish ~traced json (Ack_reduction.json_report rep)
-    end
+    if baseline then
+      report ~traced json
+        (fun ppf (r, bytes) ->
+          Format.fprintf ppf "%a@.client ack bytes: %d" Transport.Flow.pp_result
+            r bytes)
+        (fun (r, _) -> Transport.Flow.json_result r)
+        (Ack_reduction.baseline cfg)
+    else
+      report ~traced json Ack_reduction.pp_report Ack_reduction.json_report
+        (Ack_reduction.run cfg)
   in
   let quack_every =
     Arg.(value & opt int 32 & info [ "quack-every" ] ~doc:"Proxy quACK interval (packets).")
@@ -238,15 +240,6 @@ let ar_cmd =
 let rx_cmd =
   let run units seed baseline quack_every adaptive avg_loss json trace =
     let traced = set_trace trace in
-    let middle_loss =
-      if avg_loss <= 0. then Path.No_loss
-      else
-        (* bursty loss with the requested average: pi_bad * 0.3 = avg *)
-        let p_bg = 0.2 in
-        let pi_bad = avg_loss /. 0.3 in
-        let p_gb = pi_bad *. p_bg /. (1. -. pi_bad) in
-        Path.Gilbert { p_good_to_bad = p_gb; p_bad_to_good = p_bg; loss_bad = 0.3 }
-    in
     let cfg =
       {
         Retransmission.default_config with
@@ -257,20 +250,16 @@ let rx_cmd =
         middle =
           {
             Retransmission.default_config.Retransmission.middle with
-            Path.loss = middle_loss;
+            Path.loss = Path.bursty avg_loss;
           };
       }
     in
-    if baseline then begin
-      let r = Retransmission.baseline cfg in
-      Format.printf "%a@." Transport.Flow.pp_result r;
-      finish ~traced json (Transport.Flow.json_result r)
-    end
-    else begin
-      let rep = Retransmission.run cfg in
-      Format.printf "%a@." Retransmission.pp_report rep;
-      finish ~traced json (Retransmission.json_report rep)
-    end
+    if baseline then
+      report ~traced json Transport.Flow.pp_result Transport.Flow.json_result
+        (Retransmission.baseline cfg)
+    else
+      report ~traced json Retransmission.pp_report Retransmission.json_report
+        (Retransmission.run cfg)
   in
   let quack_every =
     Arg.(value & opt int 8 & info [ "quack-every" ] ~doc:"Initial quACK interval (packets).")
@@ -292,7 +281,7 @@ let rx_cmd =
 
 let fairness_cmd =
   let run units seed baseline far_loss trials jobs =
-    let jobs = check_jobs jobs in
+    let jobs = check_jobs ~flag:"jobs" jobs in
     if trials < 1 then begin
       Format.eprintf "--trials must be at least 1@.";
       exit 2
@@ -304,8 +293,7 @@ let fairness_cmd =
         seed = trial_seed;
         far =
           Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
-            ~loss:(if far_loss > 0. then Path.Bernoulli far_loss else Path.No_loss)
-            ();
+            ~loss:(Path.Bernoulli far_loss) ();
       }
     in
     let go s =
@@ -407,12 +395,23 @@ let run_sharded ~shards ~partitions ~flows ~table ~eviction ~idle_epochs
   in
   finish ~traced:false json (Sr.json_report ~deterministic r)
 
-(* runtime --scenario handover|multipath: the §5 mobility and
-   multipath families. Each runs a fixed list of arms (handover:
-   no-migration baseline vs. Resync vs. Transfer; multipath: split
-   vs. single-path) fanned over an [Exec] pool whose width comes from
-   --jobs or --shards — arms are merged in submission order, so the
-   report is byte-identical for any pool width. *)
+(* runtime --scenario FAMILY: one of the scenario families, each a
+   list of arms its module defines ([Handover.arms] and so on). The
+   arms fan over an [Exec] pool whose width comes from --jobs or
+   --shards, and are merged in arm order, so the report is
+   byte-identical for any pool width. *)
+let run_arms ~pool_jobs ~json name run pp to_json arms =
+  let reports = Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> run c) arms in
+  List.iter (fun r -> Format.printf "%a@." pp r) reports;
+  finish ~traced:false json
+    (Obs.Json.Obj
+       [
+         ("scenario", Obs.Json.String name);
+         ( "arms",
+           Obs.Json.Obj
+             (List.map2 (fun (arm, _) r -> (arm, to_json r)) arms reports) );
+       ])
+
 let run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
     ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate =
   let module H = Sidecar_runtime.Handover in
@@ -429,129 +428,65 @@ let run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
           { base_mean_s = 0.05; at_s = 0.4; crowd = c; spread_s = 0.05 }
     | None, a -> a
   in
-  let arms_json name arms =
-    Obs.Json.Obj [ ("scenario", Obs.Json.String name); ("arms", Obs.Json.Obj arms) ]
-  in
   match family with
   | "handover" ->
       let d = H.default_config in
-      let base =
-        {
-          d with
-          H.flows = Option.value flows ~default:d.H.flows;
-          table_flows = Option.value table ~default:d.H.table_flows;
-          arrival = with_crowd d.H.arrival;
-          migrate_after =
-            Option.value migrate_after ~default:d.H.migrate_after;
-          ctrl_delay = Option.value ctrl_delay ~default:d.H.ctrl_delay;
-          quack_every = Option.value quack_every ~default:d.H.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [
-          ("baseline", { base with H.migrate = false });
-          ("resync", { base with H.strategy = H.Resync });
-          ("transfer", { base with H.strategy = H.Transfer });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> H.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." H.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "handover"
-           (List.map2
-              (fun (name, _) r -> (name, H.json_report r))
-              arms reports))
+      run_arms ~pool_jobs ~json "handover" H.run H.pp_report H.json_report
+        (H.arms
+           {
+             d with
+             H.flows = Option.value flows ~default:d.H.flows;
+             table_flows = Option.value table ~default:d.H.table_flows;
+             arrival = with_crowd d.H.arrival;
+             migrate_after =
+               Option.value migrate_after ~default:d.H.migrate_after;
+             ctrl_delay = Option.value ctrl_delay ~default:d.H.ctrl_delay;
+             quack_every = Option.value quack_every ~default:d.H.quack_every;
+             seed;
+           })
   | "multipath" ->
       let d = M.default_config in
-      let base =
-        {
-          d with
-          M.flows = Option.value flows ~default:d.M.flows;
-          table_flows = Option.value table ~default:d.M.table_flows;
-          arrival = with_crowd d.M.arrival;
-          split = Option.value split ~default:d.M.split;
-          quack_every = Option.value quack_every ~default:d.M.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [ ("split", base); ("single_path", { base with M.split = (1, 0) }) ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> M.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." M.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "multipath"
-           (List.map2
-              (fun (name, _) r -> (name, M.json_report r))
-              arms reports))
+      run_arms ~pool_jobs ~json "multipath" M.run M.pp_report M.json_report
+        (M.arms
+           {
+             d with
+             M.flows = Option.value flows ~default:d.M.flows;
+             table_flows = Option.value table ~default:d.M.table_flows;
+             arrival = with_crowd d.M.arrival;
+             split = Option.value split ~default:d.M.split;
+             quack_every = Option.value quack_every ~default:d.M.quack_every;
+             seed;
+           })
   | "adversary" ->
       let d = A.default_config in
-      let rate = Option.value attack_rate ~default:d.A.attack_rate in
-      if not (rate >= 0. && rate <= 1.) then begin
+      let attack_rate = Option.value attack_rate ~default:d.A.attack_rate in
+      if not (attack_rate >= 0. && attack_rate <= 1.) then begin
         Format.eprintf "--attack-rate must be in [0, 1]@.";
         exit 2
       end;
-      let base =
-        {
-          d with
-          A.flows = Option.value flows ~default:d.A.flows;
-          table_flows = Option.value table ~default:d.A.table_flows;
-          arrival = with_crowd d.A.arrival;
-          quack_every = Option.value quack_every ~default:d.A.quack_every;
-          seed;
-        }
-      in
-      (* damage curve (unauth at 0, r/2, r) plus the defence at r *)
-      let arms =
-        [
-          ("unauth_rate0", { base with A.auth = false; attack_rate = 0. });
-          ( "unauth_rate_half",
-            { base with A.auth = false; attack_rate = rate /. 2. } );
-          ("unauth", { base with A.auth = false; attack_rate = rate });
-          ("auth", { base with A.auth = true; attack_rate = rate });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> A.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." A.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "adversary"
-           (List.map2
-              (fun (name, _) r -> (name, A.json_report r))
-              arms reports))
+      run_arms ~pool_jobs ~json "adversary" A.run A.pp_report A.json_report
+        (A.arms
+           {
+             d with
+             A.flows = Option.value flows ~default:d.A.flows;
+             table_flows = Option.value table ~default:d.A.table_flows;
+             arrival = with_crowd d.A.arrival;
+             quack_every = Option.value quack_every ~default:d.A.quack_every;
+             attack_rate;
+             seed;
+           })
   | "leakage" ->
       let d = L.default_config in
-      let base =
-        {
-          d with
-          L.flows = Option.value flows ~default:d.L.flows;
-          table_flows = Option.value table ~default:d.L.table_flows;
-          arrival = with_crowd d.L.arrival;
-          quack_every = Option.value quack_every ~default:d.L.quack_every;
-          seed;
-        }
-      in
-      let arms =
-        [
-          ("unshaped", { base with L.shape = false });
-          ("shaped", { base with L.shape = true });
-        ]
-      in
-      let reports =
-        Exec.map ?jobs:pool_jobs ~f:(fun _ctx (_, c) -> L.run c) arms
-      in
-      List.iter (fun r -> Format.printf "%a@." L.pp_report r) reports;
-      finish ~traced:false json
-        (arms_json "leakage"
-           (List.map2
-              (fun (name, _) r -> (name, L.json_report r))
-              arms reports))
+      run_arms ~pool_jobs ~json "leakage" L.run L.pp_report L.json_report
+        (L.arms
+           {
+             d with
+             L.flows = Option.value flows ~default:d.L.flows;
+             table_flows = Option.value table ~default:d.L.table_flows;
+             arrival = with_crowd d.L.arrival;
+             quack_every = Option.value quack_every ~default:d.L.quack_every;
+             seed;
+           })
   | s ->
       Format.eprintf
         "unknown scenario %S (expected handover|multipath|adversary|leakage)@."
@@ -563,9 +498,6 @@ let runtime_cmd =
       field bits json trace replications jobs shards partitions
       arrivals idle_epochs quack_every scenario migrate_after ctrl_delay crowd
       split attack_rate =
-    (* An inconsistent configuration (no flows, a shard without a
-       partition, a field too wide for its tables, ...) is a usage error
-       like a bad flag: print the library's message and exit 2. *)
     let event_only =
       [
         ("trace", trace <> None);
@@ -587,151 +519,148 @@ let runtime_cmd =
         ("attack-rate", attack_rate <> None);
       ]
     in
-    try
-      match scenario with
-      | Some family ->
-          reject_unread "--scenario" (event_only @ shards_only);
-          let pool_jobs =
-            match shards with Some n -> check_jobs (Some n) | None -> check_jobs jobs
-          in
-          let split =
-            match split with
-            | None -> None
-            | Some s -> (
-                match String.split_on_char ':' s with
-                | [ a; b ] -> (
-                    match (int_of_string_opt a, int_of_string_opt b) with
-                    | Some a, Some b when a >= 0 && b >= 0 && a + b > 0 ->
-                        Some (a, b)
-                    | _ ->
-                        Format.eprintf "bad --split %S (expected A:B)@." s;
-                        exit 2)
-                | _ ->
-                    Format.eprintf "bad --split %S (expected A:B)@." s;
-                    exit 2)
-          in
-          run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
-            ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate
-      | None ->
-      match shards with
-      | Some shards ->
-          reject_unread "--shards" (event_only @ scenario_only);
-          run_sharded ~shards
-            ~partitions:(Option.value partitions ~default:16)
-            ~flows ~table ~eviction
-            ~idle_epochs:(Option.value idle_epochs ~default:4)
-            ~arrivals
-            ~quack_every:(Option.value quack_every ~default:16)
-            ~field ~bits ~seed ~json
-      | None ->
-      reject_unread "event-driven"
-        (shards_only @ scenario_only @ [ ("quack-every", quack_every <> None) ]);
-      let jobs = check_jobs jobs in
-      let replications = Option.value replications ~default:1 in
-      if replications < 1 then begin
-        Format.eprintf "--replications must be at least 1@.";
-        exit 2
-      end;
-      let traced = set_trace trace in
-      let policy =
-        match Option.value eviction ~default:"lru" with
-        | "lru" -> Sidecar_runtime.Flow_table.Lru
-        | "idle" -> Sidecar_runtime.Flow_table.Idle idle_ms
-        | s ->
-            Format.eprintf "unknown eviction policy %S (expected lru|idle)@." s;
-            exit 2
-      in
-      let protocol =
-        match protocol with
-        | "cc" -> `Cc
-        | "ack" -> `Ack
-        | "retx" -> `Retx
-        | s ->
-            Format.eprintf "unknown protocol %S (expected cc|ack|retx)@." s;
-            exit 2
-      in
-      let flows = Option.value flows ~default:200 in
-      let table = Option.value table ~default:64 in
-      let field = parse_field field in
-      let bits =
-        match bits with
-        | Some b -> b
-        | None -> Sidecar_runtime.Scenario.default_config.Sidecar_runtime.Scenario.bits
-      in
-      let cfg run_seed =
-        {
-          Sidecar_runtime.Scenario.default_config with
-          Sidecar_runtime.Scenario.protocol;
-          flows;
-          table_flows = table;
-          policy;
-          field;
-          bits;
-          seed = run_seed;
-          far =
-            Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
-              ~loss:(if far_loss > 0. then Path.Bernoulli far_loss else Path.No_loss)
-              ();
-        }
-      in
-      let print_report r =
-        Format.printf "%a@." Sidecar_runtime.Scenario.pp_report r;
-        if per_flow then
-          Array.iter
-            (fun (fr : Sidecar_runtime.Scenario.flow_report) ->
-              Format.printf
-                "flow %3d: %4d units, start %a, %s, tx %d retx %d pto %d@."
-                fr.Sidecar_runtime.Scenario.flow fr.Sidecar_runtime.Scenario.units
-                Time.pp fr.Sidecar_runtime.Scenario.started_at
-                (if fr.Sidecar_runtime.Scenario.completed then
-                   Printf.sprintf "fct %.3fs" fr.Sidecar_runtime.Scenario.fct_s
-                 else "INCOMPLETE")
-                fr.Sidecar_runtime.Scenario.transmissions
-                fr.Sidecar_runtime.Scenario.retransmissions
-                fr.Sidecar_runtime.Scenario.timeouts)
-            r.Sidecar_runtime.Scenario.flows
-      in
-      if replications = 1 then begin
-        let r = Sidecar_runtime.Scenario.run (cfg seed) in
-        print_report r;
-        finish ~traced json (Sidecar_runtime.Scenario.json_report r)
-      end
-      else begin
-        let seeds = replication_seeds ~base:seed replications in
-        let reports =
-          Exec.map ?jobs
-            ~f:(fun _ctx s -> Sidecar_runtime.Scenario.run (cfg s))
-            seeds
+    match scenario with
+    | Some family ->
+        reject_unread "--scenario" (event_only @ shards_only);
+        let pool_jobs =
+          match shards with
+          | Some _ -> check_jobs ~flag:"shards" shards
+          | None -> check_jobs ~flag:"jobs" jobs
         in
-        List.iteri
-          (fun i (s, r) ->
-            Format.printf "--- replication %d (seed %d) ---@." i s;
-            print_report r)
-          (List.combine seeds reports);
-        let n = float_of_int replications in
-        let mean f =
-          List.fold_left
-            (fun acc (r : Sidecar_runtime.Scenario.report) -> acc +. f r)
-            0. reports
-          /. n
+        let split =
+          match split with
+          | None -> None
+          | Some s -> (
+              match String.split_on_char ':' s with
+              | [ a; b ] -> (
+                  match (int_of_string_opt a, int_of_string_opt b) with
+                  | Some a, Some b when a >= 0 && b >= 0 && a + b > 0 ->
+                      Some (a, b)
+                  | _ ->
+                      Format.eprintf "bad --split %S (expected A:B)@." s;
+                      exit 2)
+              | _ ->
+                  Format.eprintf "bad --split %S (expected A:B)@." s;
+                  exit 2)
         in
-        Format.printf
-          "mean over %d replications: fct p50 %.3fs p95 %.3fs p99 %.3fs@."
-          replications
-          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p50))
-          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p95))
-          (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p99));
-        finish ~traced json
-          (Obs.Json.Obj
-             [
-               ( "replications",
-                 Obs.Json.List
-                   (List.map Sidecar_runtime.Scenario.json_report reports) );
-             ])
-      end
-    with Invalid_argument msg ->
-      Format.eprintf "%s@." msg;
+        run_scenario_family ~family ~flows ~table ~seed ~json ~pool_jobs
+          ~migrate_after ~ctrl_delay ~crowd ~split ~quack_every ~attack_rate
+    | None ->
+    match shards with
+    | Some shards ->
+        reject_unread "--shards" (event_only @ scenario_only);
+        run_sharded ~shards
+          ~partitions:(Option.value partitions ~default:16)
+          ~flows ~table ~eviction
+          ~idle_epochs:(Option.value idle_epochs ~default:4)
+          ~arrivals
+          ~quack_every:(Option.value quack_every ~default:16)
+          ~field ~bits ~seed ~json
+    | None ->
+    reject_unread "event-driven"
+      (shards_only @ scenario_only @ [ ("quack-every", quack_every <> None) ]);
+    let jobs = check_jobs ~flag:"jobs" jobs in
+    let replications = Option.value replications ~default:1 in
+    if replications < 1 then begin
+      Format.eprintf "--replications must be at least 1@.";
       exit 2
+    end;
+    let traced = set_trace trace in
+    let policy =
+      match Option.value eviction ~default:"lru" with
+      | "lru" -> Sidecar_runtime.Flow_table.Lru
+      | "idle" -> Sidecar_runtime.Flow_table.Idle idle_ms
+      | s ->
+          Format.eprintf "unknown eviction policy %S (expected lru|idle)@." s;
+          exit 2
+    in
+    let protocol =
+      match protocol with
+      | "cc" -> `Cc
+      | "ack" -> `Ack
+      | "retx" -> `Retx
+      | s ->
+          Format.eprintf "unknown protocol %S (expected cc|ack|retx)@." s;
+          exit 2
+    in
+    let flows = Option.value flows ~default:200 in
+    let table = Option.value table ~default:64 in
+    let field = parse_field field in
+    let bits =
+      match bits with
+      | Some b -> b
+      | None -> Sidecar_runtime.Scenario.default_config.Sidecar_runtime.Scenario.bits
+    in
+    let cfg run_seed =
+      {
+        Sidecar_runtime.Scenario.default_config with
+        Sidecar_runtime.Scenario.protocol;
+        flows;
+        table_flows = table;
+        policy;
+        field;
+        bits;
+        seed = run_seed;
+        far =
+          Path.segment ~rate_bps:20_000_000 ~delay:(Time.ms 2)
+            ~loss:(Path.Bernoulli far_loss) ();
+      }
+    in
+    let print_report r =
+      Format.printf "%a@." Sidecar_runtime.Scenario.pp_report r;
+      if per_flow then
+        Array.iter
+          (fun (fr : Sidecar_runtime.Scenario.flow_report) ->
+            Format.printf
+              "flow %3d: %4d units, start %a, %s, tx %d retx %d pto %d@."
+              fr.Sidecar_runtime.Scenario.flow fr.Sidecar_runtime.Scenario.units
+              Time.pp fr.Sidecar_runtime.Scenario.started_at
+              (if fr.Sidecar_runtime.Scenario.completed then
+                 Printf.sprintf "fct %.3fs" fr.Sidecar_runtime.Scenario.fct_s
+               else "INCOMPLETE")
+              fr.Sidecar_runtime.Scenario.transmissions
+              fr.Sidecar_runtime.Scenario.retransmissions
+              fr.Sidecar_runtime.Scenario.timeouts)
+          r.Sidecar_runtime.Scenario.flows
+    in
+    if replications = 1 then begin
+      let r = Sidecar_runtime.Scenario.run (cfg seed) in
+      print_report r;
+      finish ~traced json (Sidecar_runtime.Scenario.json_report r)
+    end
+    else begin
+      let seeds = replication_seeds ~base:seed replications in
+      let reports =
+        Exec.map ?jobs
+          ~f:(fun _ctx s -> Sidecar_runtime.Scenario.run (cfg s))
+          seeds
+      in
+      List.iteri
+        (fun i (s, r) ->
+          Format.printf "--- replication %d (seed %d) ---@." i s;
+          print_report r)
+        (List.combine seeds reports);
+      let n = float_of_int replications in
+      let mean f =
+        List.fold_left
+          (fun acc (r : Sidecar_runtime.Scenario.report) -> acc +. f r)
+          0. reports
+        /. n
+      in
+      Format.printf
+        "mean over %d replications: fct p50 %.3fs p95 %.3fs p99 %.3fs@."
+        replications
+        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p50))
+        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p95))
+        (mean (fun r -> r.Sidecar_runtime.Scenario.fct_p99));
+      finish ~traced json
+        (Obs.Json.Obj
+           [
+             ( "replications",
+               Obs.Json.List
+                 (List.map Sidecar_runtime.Scenario.json_report reports) );
+           ])
+    end
   in
   let flows =
     Arg.(value & opt (some int) None
@@ -867,10 +796,24 @@ let runtime_cmd =
 
 (* ------------------------------------------------------------------ *)
 
+(* An inconsistent configuration (no flows, a negative loss rate, a
+   shard without a partition, a field too wide for its tables, ...) is
+   a usage error like a bad flag in every subcommand: the library's
+   message and exit 2. Any other exception is still an internal error,
+   exit 125. *)
 let () =
   let doc = "Sidecar protocol simulations (HotNets '22 reproduction)." in
   let info = Cmd.info "sidecar-sim" ~version:"1.0.0" ~doc in
+  let cmd =
+    Cmd.group info [ quack_cmd; cc_cmd; ar_cmd; rx_cmd; fairness_cmd; runtime_cmd ]
+  in
   exit
-    (Cmd.eval
-       (Cmd.group info
-          [ quack_cmd; cc_cmd; ar_cmd; rx_cmd; fairness_cmd; runtime_cmd ]))
+    (match Cmd.eval ~catch:false cmd with
+    | code -> code
+    | exception Invalid_argument msg ->
+        Format.eprintf "%s@." msg;
+        2
+    | exception e ->
+        Format.eprintf "sidecar-sim: internal error, uncaught exception:@\n%s@."
+          (Printexc.to_string e);
+        Cmd.Exit.internal_error)

@@ -55,6 +55,15 @@ let default_config =
     until = Time.s 180;
   }
 
+let arms base =
+  let rate = base.attack_rate in
+  [
+    ("unauth_rate0", { base with auth = false; attack_rate = 0. });
+    ("unauth_rate_half", { base with auth = false; attack_rate = rate /. 2. });
+    ("unauth", { base with auth = false; attack_rate = rate });
+    ("auth", { base with auth = true; attack_rate = rate });
+  ]
+
 type report = {
   auth : bool;
   attack_rate : float;

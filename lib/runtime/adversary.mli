@@ -43,6 +43,12 @@ val default_config : config
 (** Unauthenticated, attack rate 0.1, 40 web flows over a cellular far
     segment — the damage arm's baseline. *)
 
+val arms : config -> (string * config) list
+(** The family's compared arms over [base], in report order, with R =
+    [base.attack_rate]: the unauthenticated damage curve at 0, R/2 and
+    R ([unauth_rate0], [unauth_rate_half], [unauth]), then the
+    authenticated defence at R ([auth]). *)
+
 type report = {
   auth : bool;
   attack_rate : float;

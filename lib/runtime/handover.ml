@@ -60,6 +60,13 @@ let default_config =
     until = Time.s 180;
   }
 
+let arms base =
+  [
+    ("baseline", { base with migrate = false });
+    ("resync", { base with strategy = Resync });
+    ("transfer", { base with strategy = Transfer });
+  ]
+
 type report = {
   strategy : strategy;
   migrated : bool;

@@ -64,6 +64,11 @@ val default_config : config
     estimator stays valid across the switch), [Transfer] strategy,
     40 flows. *)
 
+val arms : config -> (string * config) list
+(** The family's compared arms over [base], in report order:
+    [baseline] (no migration), then the [resync] and [transfer]
+    takeovers. *)
+
 type report = {
   strategy : strategy;
   migrated : bool;

@@ -53,6 +53,9 @@ let default_config =
     until = Time.s 180;
   }
 
+let arms base =
+  [ ("unshaped", { base with shape = false }); ("shaped", { base with shape = true }) ]
+
 type report = {
   shaped : bool;
   flows : int;

@@ -52,6 +52,10 @@ val default_config : config
 (** Unshaped, 50 ms grid, 8 s padded sessions, 40 small-or-large flows
     over a cellular far segment. *)
 
+val arms : config -> (string * config) list
+(** The family's compared arms over [base], in report order: the
+    [unshaped] and [shaped] quACK channel. *)
+
 type report = {
   shaped : bool;
   flows : int;

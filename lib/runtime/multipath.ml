@@ -54,6 +54,8 @@ let default_config =
     until = Time.s 180;
   }
 
+let arms base = [ ("split", base); ("single_path", { base with split = (1, 0) }) ]
+
 type report = {
   flows : int;
   completed : int;

@@ -52,6 +52,10 @@ val default_config : config
     differ by multiples — that is MPTCP's per-subflow problem, not the
     quACK fold's), flash-crowd arrivals, 40 flows. *)
 
+val arms : config -> (string * config) list
+(** The family's compared arms over [base], in report order: [split]
+    ([base] itself) and [single_path] (every packet on path 1). *)
+
 type report = {
   flows : int;
   completed : int;

@@ -1,5 +1,3 @@
-module Engine = Netsim.Engine
-module Link = Netsim.Link
 module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
 module Q = Sidecar_quack
@@ -66,25 +64,18 @@ let json_report r =
 
 let baseline cfg =
   let ack_bytes = ref 0 in
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed [ cfg.near; cfg.far ] in
-  Link.set_deliver fwd.(0) (fun p -> ignore (Link.send fwd.(1) p));
-  Link.set_deliver rev.(0) (fun p ->
-      ack_bytes := !ack_bytes + p.Packet.size;
-      ignore (Link.send rev.(1) p));
-  let sender =
-    Transport.Sender.create engine ~mss:cfg.mss ~total_units:cfg.units
-      ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-      ()
+  let client _ =
+    {
+      Chain.on_data = None;
+      on_ack = Some (fun p -> ack_bytes := !ack_bytes + p.Packet.size);
+      start = (fun () -> ());
+    }
   in
-  let receiver =
-    Transport.Receiver.create engine ~ack_every:2 ~total_units:cfg.units
-      ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-      ()
+  let outcome =
+    Chain.run ~seed:cfg.seed ~units:cfg.units ~mss:cfg.mss ~client
+      ~nodes:[ Node.pass_through ] ~until:cfg.until [ cfg.near; cfg.far ]
   in
-  Link.set_deliver fwd.(1) (Transport.Receiver.deliver receiver);
-  Link.set_deliver rev.(1) (Transport.Sender.deliver_ack sender);
-  let result = Transport.Flow.run engine ~sender ~receiver ~until:cfg.until () in
-  (result, !ack_bytes)
+  (outcome.Chain.flow, !ack_bytes)
 
 let run cfg =
   let quacks = ref 0 in

@@ -50,5 +50,7 @@ val json_report : report -> Obs.Json.t
 
 val run : config -> report
 val baseline : config -> Transport.Flow.result * int
-(** Same path, no sidecar, default ACK frequency (every 2). Returns
-    the flow result and the client ACK-byte total. *)
+(** Same path, no sidecar, default ACK frequency (every 2): {!Chain.run}
+    over a pass-through node. Returns the flow result and the client
+    ACK-byte total, counted as {!run} counts [client_ack_bytes]: as the
+    client sends them, before any return-link loss. *)

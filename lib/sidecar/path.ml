@@ -16,6 +16,22 @@ let to_loss = function
 
 let average_loss spec = Loss.average_rate (to_loss spec)
 
+(* The stationary bad-state share is avg / loss_bad; solve the chain's
+   balance pi_bad = p_gb / (p_gb + p_bg) for p_gb. Every avg the chain
+   cannot reach (negative, NaN, or about 0.25 and up) puts p_gb outside
+   [0, 1] or at NaN. *)
+let bursty avg =
+  if avg = 0. then No_loss
+  else begin
+    let loss_bad = 0.3 and p_bad_to_good = 0.2 in
+    let pi_bad = avg /. loss_bad in
+    let p_good_to_bad = pi_bad *. p_bad_to_good /. (1. -. pi_bad) in
+    if not (p_good_to_bad >= 0. && p_good_to_bad <= 1.) then
+      invalid_arg
+        (Printf.sprintf "Path.bursty: average loss %g out of range [0, 0.25)" avg);
+    Gilbert { p_good_to_bad; p_bad_to_good; loss_bad }
+  end
+
 let pp_loss ppf = function
   | No_loss -> Format.pp_print_string ppf "0%"
   | Bernoulli p -> Format.fprintf ppf "%.2f%%" (100. *. p)

@@ -15,6 +15,16 @@ type loss_spec =
 
 val to_loss : loss_spec -> Netsim.Loss.t
 val average_loss : loss_spec -> float
+
+val bursty : float -> loss_spec
+(** [bursty avg] is the §2.3 subpath's bursty loss with long-run
+    average [avg]: a Gilbert–Elliott model that loses 30 % of packets
+    in its bad state and leaves it with probability 0.2 per packet.
+    [bursty 0.] is [No_loss].
+    @raise Invalid_argument when [avg] is negative or so high (about
+    0.25 and up) that the derived good-to-bad probability leaves
+    [\[0, 1\]]. *)
+
 val pp_loss : Format.formatter -> loss_spec -> unit
 
 type segment = {

@@ -1,8 +1,5 @@
-module Engine = Netsim.Engine
 module Link = Netsim.Link
-module Packet = Netsim.Packet
 module Time = Netsim.Sim_time
-module Q = Sidecar_quack
 
 type config = {
   units : int;
@@ -88,26 +85,11 @@ let segments cfg = [ cfg.ingress; cfg.middle; cfg.egress ]
 let pkt_threshold cfg = if cfg.reorder_tolerant_endpoints then 1024 else 3
 
 let baseline cfg =
-  let { Path.engine; fwd; rev } = Path.build ~seed:cfg.seed (segments cfg) in
-  let n = Array.length fwd in
-  for i = 0 to n - 2 do
-    Link.set_deliver fwd.(i) (fun p -> ignore (Link.send fwd.(i + 1) p));
-    Link.set_deliver rev.(i) (fun p -> ignore (Link.send rev.(i + 1) p))
-  done;
-  let sender =
-    Transport.Sender.create engine ~mss:cfg.mss
-      ~pkt_threshold:(pkt_threshold cfg) ~total_units:cfg.units
-      ~egress:(fun p -> ignore (Link.send fwd.(0) p))
-      ()
-  in
-  let receiver =
-    Transport.Receiver.create engine ~total_units:cfg.units
-      ~send_ack:(fun p -> ignore (Link.send rev.(0) p))
-      ()
-  in
-  Link.set_deliver fwd.(n - 1) (Transport.Receiver.deliver receiver);
-  Link.set_deliver rev.(n - 1) (Transport.Sender.deliver_ack sender);
-  Transport.Flow.run engine ~sender ~receiver ~until:cfg.until ()
+  (Chain.run ~seed:cfg.seed ~units:cfg.units ~mss:cfg.mss
+     ~pkt_threshold:(pkt_threshold cfg)
+     ~nodes:[ Node.pass_through; Node.pass_through ]
+     ~until:cfg.until (segments cfg))
+    .Chain.flow
 
 let run cfg =
   let counters = Protocol.fresh_counters () in

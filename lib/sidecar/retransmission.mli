@@ -55,4 +55,7 @@ val json_report : report -> Obs.Json.t
 (** Schema-stable JSON mirror of {!report}. *)
 
 val run : config -> report
+
 val baseline : config -> Transport.Flow.result
+(** Same path and endpoints, no sidecar: {!Chain.run} over two
+    pass-through nodes. *)

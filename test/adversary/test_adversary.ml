@@ -299,20 +299,8 @@ let proxy_snap (p : Sidecar_runtime.Proxy.stats) =
 
 let ci_adversary = { A.default_config with A.flows = 16 }
 let ci_leakage = { L.default_config with L.flows = 16 }
-
-let adversary_arms =
-  [
-    ("unauth_rate0", { ci_adversary with A.auth = false; attack_rate = 0. });
-    ("unauth_rate_half", { ci_adversary with A.auth = false; attack_rate = 0.1 });
-    ("unauth", { ci_adversary with A.auth = false; attack_rate = 0.2 });
-    ("auth", { ci_adversary with A.auth = true; attack_rate = 0.2 });
-  ]
-
-let leakage_arms =
-  [
-    ("unshaped", { ci_leakage with L.shape = false });
-    ("shaped", { ci_leakage with L.shape = true });
-  ]
+let adversary_arms = A.arms { ci_adversary with A.attack_rate = 0.2 }
+let leakage_arms = L.arms ci_leakage
 
 let snap_adversary (name, cfg) () =
   let r = A.run cfg in

@@ -84,6 +84,26 @@ let snap_rx () =
     ]
   ^ "\n"
 
+(* The no-sidecar arms of ACK reduction and retransmission: the flow
+   every sidecar number above is judged against. *)
+let snap_baseline_ar () =
+  let r, ack_bytes = Ack_reduction.baseline Ack_reduction.default_config in
+  String.concat "\n"
+    [
+      "baseline_ar (Ack_reduction.baseline default_config)";
+      flow_snap r;
+      b "client_ack_bytes=%d" ack_bytes;
+    ]
+  ^ "\n"
+
+let snap_baseline_rx () =
+  String.concat "\n"
+    [
+      "baseline_rx (Retransmission.baseline default_config)";
+      flow_snap (Retransmission.baseline Retransmission.default_config);
+    ]
+  ^ "\n"
+
 (* Two CC-division flows sharing one proxy (§2.1 fairness); the report
    has no JSON form, so the text pin is the whole interface. *)
 let snap_fairness () =
@@ -121,6 +141,8 @@ let fixtures =
     ("proto_ar", snap_ar);
     ("proto_rx", snap_rx);
     ("fairness", snap_fairness);
+    ("baseline_ar", snap_baseline_ar);
+    ("baseline_rx", snap_baseline_rx);
     ( "schema_cc",
       schema_snap (fun () ->
           Cc_division.json_report (Cc_division.run Cc_division.default_config)) );

@@ -40,6 +40,21 @@ let test_segment_validation () =
     (Path.segment ~rate_bps:1 ~delay:0 ~loss:(Path.Bernoulli 0.)
        ~rev_loss:(Path.Bernoulli 1.) ())
 
+(* The §2.3 bursty subpath: the Gilbert–Elliott chain it derives has
+   the requested average, zero means no loss model at all, and a rate
+   the chain cannot reach is refused, not clamped. *)
+let test_bursty () =
+  for i = 0 to 249 do
+    let a = float_of_int i /. 1000. in
+    Alcotest.(check (float 1e-12))
+      (Printf.sprintf "average of bursty %g" a)
+      a
+      (Path.average_loss (Path.bursty a))
+  done;
+  Alcotest.(check bool) "bursty 0 is No_loss" true (Path.bursty 0. = Path.No_loss);
+  expect_invalid "negative average" (fun () -> Path.bursty (-0.1));
+  expect_invalid "average 0.25" (fun () -> Path.bursty 0.25)
+
 let test_chain_arity () =
   let seg = Path.segment ~rate_bps:10_000_000 ~delay:(Time.ms 1) () in
   expect_invalid "too few nodes" (fun () ->
@@ -105,6 +120,7 @@ let () =
         [
           Alcotest.test_case "segment validation" `Quick
             test_segment_validation;
+          Alcotest.test_case "bursty loss" `Quick test_bursty;
         ] );
       ("chain", [ Alcotest.test_case "arity" `Quick test_chain_arity ]);
       ( "pass-through-props",

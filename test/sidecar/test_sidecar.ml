@@ -164,6 +164,24 @@ let test_ack_reduction_survives_far_loss () =
   check bool "completes" true rep.Ack_reduction.flow.Transport.Flow.completed;
   check int "all units" 800 rep.Ack_reduction.flow.Transport.Flow.units
 
+(* The baseline counts client ACK bytes where the sidecar arm does:
+   as the client sends them, not as the lossy return link delivers
+   them. The forward path is lossless, so every ACK carries one range. *)
+let test_ack_reduction_baseline_counts_sent_acks () =
+  let cfg =
+    {
+      Ack_reduction.default_config with
+      units = 600;
+      far =
+        Path.segment ~rate_bps:50_000_000 ~delay:(Time.ms 25)
+          ~rev_loss:(Path.Bernoulli 0.2) ();
+    }
+  in
+  let r, ack_bytes = Ack_reduction.baseline cfg in
+  check int "every sent ACK counted"
+    (r.Transport.Flow.acks_sent * Transport.Frames.ack_size ~ranges:1)
+    ack_bytes
+
 (* ------------------------------------------------------------------ *)
 (* In-network retransmission                                           *)
 
@@ -532,6 +550,8 @@ let () =
           Alcotest.test_case "no spurious retx" `Slow test_ack_reduction_no_spurious_retx;
           Alcotest.test_case "count omitted saves bytes" `Slow test_ack_reduction_count_carried_vs_omitted;
           Alcotest.test_case "survives far loss" `Slow test_ack_reduction_survives_far_loss;
+          Alcotest.test_case "baseline counts sent ACKs" `Quick
+            test_ack_reduction_baseline_counts_sent_acks;
         ] );
       ( "analysis",
         [
